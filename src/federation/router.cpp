@@ -1,7 +1,10 @@
 #include "federation/router.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <iterator>
+#include <string_view>
 #include <thread>
 
 #include <set>
@@ -68,13 +71,23 @@ std::string BuildTarget(const std::string& path,
   return target;
 }
 
+/// Parses a non-negative decimal paging value; nullopt when it is empty, has
+/// a non-digit, or does not fit a long long.
+std::optional<long long> ParsePagingValue(std::string_view text) {
+  if (!strings::IsDigits(text)) return std::nullopt;
+  long long value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) return std::nullopt;
+  return value;
+}
+
 /// Parses a "$fedskip" continuation token: "<shard-id>:<per-shard-offset>".
 std::optional<std::pair<std::string, long long>> ParseFedSkip(const std::string& value) {
   const std::size_t colon = value.rfind(':');
   if (colon == std::string::npos || colon == 0) return std::nullopt;
-  const std::string offset = value.substr(colon + 1);
-  if (offset.empty() || !strings::IsDigits(offset)) return std::nullopt;
-  return std::make_pair(value.substr(0, colon), std::stoll(offset));
+  const auto offset = ParsePagingValue(std::string_view(value).substr(colon + 1));
+  if (!offset) return std::nullopt;
+  return std::make_pair(value.substr(0, colon), *offset);
 }
 
 Result<json::Json> ParseCollectionDoc(const http::Response& response) {
@@ -382,16 +395,17 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
   std::optional<std::pair<std::string, long long>> fedskip;
   std::map<std::string, std::string> base_query = request.query;
   if (auto it = request.query.find("$top"); it != request.query.end()) {
-    if (!strings::IsDigits(it->second) || it->second.empty()) {
+    top = ParsePagingValue(it->second);
+    if (!top) {
       return redfish::ErrorResponse(Status::InvalidArgument("$top must be a non-negative integer"));
     }
-    top = std::stoll(it->second);
   }
   if (auto it = request.query.find("$skip"); it != request.query.end()) {
-    if (!strings::IsDigits(it->second) || it->second.empty()) {
+    const auto skip = ParsePagingValue(it->second);
+    if (!skip) {
       return redfish::ErrorResponse(Status::InvalidArgument("$skip must be a non-negative integer"));
     }
-    global_skip = std::stoll(it->second);
+    global_skip = *skip;
   }
   if (auto it = request.query.find("$fedskip"); it != request.query.end()) {
     fedskip = ParseFedSkip(it->second);
@@ -532,12 +546,18 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
     ++ok_pages;
     total += page.count;
     if (!page.have_doc) continue;
-    if (merged.is_null()) merged = page.doc;  // envelope template (copy)
     if (page.doc.is_object() && page.doc.at("Members").is_array()) {
-      for (json::Json& member : page.doc["Members"].as_array()) {
-        members.push_back(std::move(member));
+      json::Array& page_members = page.doc["Members"].as_array();
+      if (members.empty()) {
+        members = std::move(page_members);
+      } else {
+        members.insert(members.end(), std::make_move_iterator(page_members.begin()),
+                       std::make_move_iterator(page_members.end()));
       }
     }
+    // The first full page becomes the envelope, moved in once its Members
+    // are out; the Set below refills that member at the same position.
+    if (merged.is_null()) merged = std::move(page.doc);
   }
   if (ok_pages == 0) {
     return redfish::ErrorResponse(

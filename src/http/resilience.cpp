@@ -1,15 +1,34 @@
 #include "http/resilience.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
+#include <string_view>
 #include <thread>
 
 #include "common/clock.hpp"
 #include "common/trace.hpp"
 
 namespace ofmf::http {
+namespace {
+
+/// A Retry-After value (delta-seconds) in milliseconds. A value that is not
+/// a non-negative integer reads as 0; one too large for int64 milliseconds
+/// saturates, so the caller's budget check gives up instead of sleeping.
+std::int64_t RetryAfterMs(std::string_view value) {
+  constexpr std::int64_t kForever = std::numeric_limits<std::int64_t>::max();
+  std::uint64_t seconds = 0;
+  const auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), seconds);
+  if (ec == std::errc::result_out_of_range) return kForever;
+  if (ec != std::errc() || end != value.data() + value.size()) return 0;
+  if (seconds > static_cast<std::uint64_t>(kForever / 1000)) return kForever;
+  return static_cast<std::int64_t>(seconds) * 1000;
+}
+
+}  // namespace
 
 FaultyClient::FaultyClient(std::unique_ptr<HttpClient> inner,
                            std::shared_ptr<FaultInjector> faults, std::string point)
@@ -108,7 +127,7 @@ Result<Response> RetryingClient::Send(const Request& request) {
     }();
 
     bool transient = false;
-    int retry_after_ms = 0;
+    std::int64_t retry_after_ms = 0;
     if (!result.ok()) {
       const ErrorCode code = result.status().code();
       transient = code == ErrorCode::kUnavailable || code == ErrorCode::kTimeout;
@@ -118,7 +137,7 @@ Result<Response> RetryingClient::Send(const Request& request) {
       }
     } else if (RetryableStatus(result->status)) {
       transient = true;
-      retry_after_ms = std::atoi(result->headers.GetOr("Retry-After", "0").c_str()) * 1000;
+      retry_after_ms = RetryAfterMs(result->headers.GetOr("Retry-After", "0"));
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.retryable_statuses;
     }
@@ -135,15 +154,15 @@ Result<Response> RetryingClient::Send(const Request& request) {
     const double cap = std::min<double>(
         policy_.max_backoff_ms,
         std::ldexp(static_cast<double>(policy_.base_backoff_ms), attempt - 1));
-    int sleep_ms;
+    std::int64_t sleep_ms;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      sleep_ms = static_cast<int>(rng_.Uniform(0.0, cap + 1.0));
+      sleep_ms = static_cast<std::int64_t>(rng_.Uniform(0.0, cap + 1.0));
     }
     sleep_ms = std::max(sleep_ms, retry_after_ms);
 
     const double elapsed_ms = budget.ElapsedSeconds() * 1000.0;
-    if (elapsed_ms + sleep_ms >= policy_.deadline_ms) {
+    if (elapsed_ms + static_cast<double>(sleep_ms) >= policy_.deadline_ms) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.deadline_exhausted;
       return result;

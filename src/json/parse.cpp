@@ -5,17 +5,22 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "json/plain_run.hpp"
+
 namespace ofmf::json {
 namespace {
 
+// Each value is built in the slot its parent already holds (array element,
+// object member, or the document), so nothing is moved on the way back up.
 class Parser {
  public:
   Parser(std::string_view text, const ParseOptions& options)
       : text_(text), options_(options) {}
 
   Result<Json> Run() {
+    Json value;
     SkipWhitespace();
-    OFMF_ASSIGN_OR_RETURN(Json value, ParseValue(0));
+    OFMF_RETURN_IF_ERROR(ParseValue(0, value));
     SkipWhitespace();
     if (pos_ != text_.size()) return Error("trailing characters after document");
     return value;
@@ -53,81 +58,87 @@ class Parser {
     return true;
   }
 
-  Result<Json> ParseValue(std::size_t depth) {
+  Status ParseValue(std::size_t depth, Json& out) {
     if (depth > options_.max_depth) return Error("maximum nesting depth exceeded");
     if (AtEnd()) return Error("unexpected end of input");
     switch (Peek()) {
-      case '{': return ParseObject(depth);
-      case '[': return ParseArray(depth);
+      case '{': return ParseObject(depth, out);
+      case '[': return ParseArray(depth, out);
       case '"': {
-        OFMF_ASSIGN_OR_RETURN(std::string s, ParseString());
-        return Json(std::move(s));
+        std::string s;
+        OFMF_RETURN_IF_ERROR(ParseString(s));
+        out = Json(std::move(s));
+        return Status::Ok();
       }
       case 't':
-        if (ConsumeLiteral("true")) return Json(true);
-        return Error("invalid literal");
+        if (!ConsumeLiteral("true")) return Error("invalid literal");
+        out = Json(true);
+        return Status::Ok();
       case 'f':
-        if (ConsumeLiteral("false")) return Json(false);
-        return Error("invalid literal");
+        if (!ConsumeLiteral("false")) return Error("invalid literal");
+        out = Json(false);
+        return Status::Ok();
       case 'n':
-        if (ConsumeLiteral("null")) return Json(nullptr);
-        return Error("invalid literal");
+        if (!ConsumeLiteral("null")) return Error("invalid literal");
+        out = Json(nullptr);
+        return Status::Ok();
       default:
-        return ParseNumber();
+        return ParseNumber(out);
     }
   }
 
-  Result<Json> ParseObject(std::size_t depth) {
+  Status ParseObject(std::size_t depth, Json& out) {
     Consume('{');
-    Object obj;
+    out = Json::MakeObject();
+    Object& obj = out.as_object();
     SkipWhitespace();
-    if (Consume('}')) return Json(std::move(obj));
+    if (Consume('}')) return Status::Ok();
     while (true) {
       SkipWhitespace();
       if (AtEnd() || Peek() != '"') return Error("expected object key string");
-      OFMF_ASSIGN_OR_RETURN(std::string key, ParseString());
+      std::string key;
+      OFMF_RETURN_IF_ERROR(ParseString(key));
       SkipWhitespace();
       if (!Consume(':')) return Error("expected ':' after object key");
       SkipWhitespace();
-      OFMF_ASSIGN_OR_RETURN(Json value, ParseValue(depth + 1));
-      obj.Set(std::move(key), std::move(value));
+      // A duplicate key reuses the first key's slot, so the last value wins
+      // at the first key's position, exactly as Object::Set does.
+      OFMF_RETURN_IF_ERROR(ParseValue(depth + 1, obj.Set(std::move(key), Json())));
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume('}')) break;
+      if (Consume('}')) return Status::Ok();
       return Error("expected ',' or '}' in object");
     }
-    return Json(std::move(obj));
   }
 
-  Result<Json> ParseArray(std::size_t depth) {
+  Status ParseArray(std::size_t depth, Json& out) {
     Consume('[');
-    Array arr;
+    out = Json::MakeArray();
+    Array& arr = out.as_array();
     SkipWhitespace();
-    if (Consume(']')) return Json(std::move(arr));
+    if (Consume(']')) return Status::Ok();
     while (true) {
       SkipWhitespace();
-      OFMF_ASSIGN_OR_RETURN(Json value, ParseValue(depth + 1));
-      arr.push_back(std::move(value));
+      OFMF_RETURN_IF_ERROR(ParseValue(depth + 1, arr.emplace_back()));
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume(']')) break;
+      if (Consume(']')) return Status::Ok();
       return Error("expected ',' or ']' in array");
     }
-    return Json(std::move(arr));
   }
 
-  Result<std::string> ParseString() {
+  Status ParseString(std::string& out) {
     Consume('"');
-    std::string out;
     while (true) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control byte in one append.
+      const std::size_t run = internal::PlainRunLength(text_.substr(pos_));
+      out.append(text_.data() + pos_, run);
+      pos_ += run;
       if (AtEnd()) return Error("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') break;
-      if (static_cast<unsigned char>(c) < 0x20) return Error("raw control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      const char c = text_[pos_++];
+      if (c == '"') return Status::Ok();
+      if (c != '\\') return Error("raw control character in string");
       if (AtEnd()) return Error("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -156,7 +167,6 @@ class Parser {
         default: return Error("invalid escape character");
       }
     }
-    return out;
   }
 
   Result<unsigned> ParseHex4() {
@@ -191,7 +201,7 @@ class Parser {
     }
   }
 
-  Result<Json> ParseNumber() {
+  Status ParseNumber(Json& out) {
     const std::size_t start = pos_;
     if (!AtEnd() && Peek() == '-') ++pos_;
     if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
@@ -230,13 +240,15 @@ class Parser {
       const auto [ptr, ec] =
           std::from_chars(token.data(), token.data() + token.size(), value);
       if (ec == std::errc() && ptr == token.data() + token.size()) {
-        return Json(value);
+        out = Json(value);
+        return Status::Ok();
       }
       // Fall through: out-of-range integers become doubles.
     }
     const double value = std::strtod(std::string(token).c_str(), nullptr);
     if (std::isinf(value)) return Error("number out of range");
-    return Json(value);
+    out = Json(value);
+    return Status::Ok();
   }
 
   std::string_view text_;

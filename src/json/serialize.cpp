@@ -1,14 +1,27 @@
 #include "json/serialize.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+
+#include "json/plain_run.hpp"
 
 namespace ofmf::json {
 namespace {
 
+/// Appends `s` quoted, copying each run of bytes that needs no escaping in
+/// one append. Bytes >= 0x80 pass through raw; C0 controls without a short
+/// form become lowercase \u00XX.
 void AppendEscaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (char c : s) {
+  while (true) {
+    const std::size_t run = internal::PlainRunLength(s);
+    out.append(s.data(), run);
+    if (run == s.size()) break;
+    const auto c = static_cast<unsigned char>(s[run]);
+    s.remove_prefix(run + 1);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -17,17 +30,19 @@ void AppendEscaped(std::string& out, std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
   out.push_back('"');
+}
+
+void AppendInt(std::string& out, std::int64_t v) {
+  char buffer[24];  // "-9223372036854775808" is 20 chars
+  const char* end = std::to_chars(buffer, buffer + sizeof(buffer), v).ptr;
+  out.append(buffer, static_cast<std::size_t>(end - buffer));
 }
 
 void AppendDouble(std::string& out, double v) {
@@ -58,7 +73,7 @@ void Write(const Json& value, std::string& out, int indent, int depth) {
   switch (value.type()) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += value.as_bool() ? "true" : "false"; break;
-    case Type::kInt: out += std::to_string(value.as_int()); break;
+    case Type::kInt: AppendInt(out, value.as_int()); break;
     case Type::kDouble: AppendDouble(out, value.as_double()); break;
     case Type::kString: AppendEscaped(out, value.as_string()); break;
     case Type::kArray: {

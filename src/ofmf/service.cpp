@@ -473,30 +473,34 @@ Status OfmfService::RegisterAgent(std::shared_ptr<FabricAgent> agent) {
   OFMF_RETURN_IF_ERROR(agent->PublishInventory(*this));
 
   // Route fabric-scoped mutations to the agent, guarded by its circuit
-  // breaker and (when an injector is attached) the "agent.<id>" fault point.
+  // breaker, its call lock and (when an injector is attached) the
+  // "agent.<id>" fault point.
+  FabricGuard* guard = nullptr;
   {
-    std::lock_guard<std::mutex> lock(breakers_mu_);
-    breakers_by_fabric_.emplace(fabric_id, std::make_unique<CircuitBreaker>());
+    std::lock_guard<std::mutex> lock(fabric_guards_mu_);
+    guard = fabric_guards_.try_emplace(fabric_id, std::make_unique<FabricGuard>())
+                .first->second.get();
   }
   const std::string fabric_uri = FabricUri(fabric_id);
   FabricAgent* raw = agent.get();
   rest_.RegisterFactory(fabric_uri + "/Zones", "Zone",
-                        [this, raw, fabric_id](const json::Json& body) {
-                          return GuardedAgentCreate(
-                              fabric_id, [&] { return raw->CreateZone(*this, body); });
+                        [this, raw, guard, fabric_id](const json::Json& body) {
+                          return GuardedAgentCreate(fabric_id, *guard, [&] {
+                            return raw->CreateZone(*this, body);
+                          });
                         });
   rest_.RegisterFactory(
       fabric_uri + "/Connections", "Connection",
-      [this, raw, fabric_id](const json::Json& body) {
-        return GuardedAgentCreate(fabric_id,
+      [this, raw, guard, fabric_id](const json::Json& body) {
+        return GuardedAgentCreate(fabric_id, *guard,
                                   [&] { return raw->CreateConnection(*this, body); });
       });
   rest_.RegisterDeleteHook(
-      fabric_uri, [this, raw, fabric_uri, fabric_id](const std::string& uri) {
+      fabric_uri, [this, raw, guard, fabric_uri, fabric_id](const std::string& uri) {
         if (uri == fabric_uri) {
           return Status::PermissionDenied("fabrics are owned by their agent");
         }
-        return GuardedAgentDelete(fabric_id,
+        return GuardedAgentDelete(fabric_id, *guard,
                                   [&] { return raw->DeleteResource(*this, uri); });
       });
 
@@ -520,12 +524,12 @@ Result<FabricAgent*> OfmfService::AgentForFabric(const std::string& fabric_id) {
 }
 
 Result<CircuitBreaker*> OfmfService::BreakerForFabric(const std::string& fabric_id) {
-  std::lock_guard<std::mutex> lock(breakers_mu_);
-  auto it = breakers_by_fabric_.find(fabric_id);
-  if (it == breakers_by_fabric_.end()) {
+  std::lock_guard<std::mutex> lock(fabric_guards_mu_);
+  auto it = fabric_guards_.find(fabric_id);
+  if (it == fabric_guards_.end()) {
     return Status::NotFound("no breaker for fabric " + fabric_id);
   }
-  return it->second.get();
+  return &it->second->breaker;
 }
 
 bool OfmfService::FabricDegraded(const std::string& fabric_id) const {
@@ -536,12 +540,12 @@ bool OfmfService::FabricDegraded(const std::string& fabric_id) const {
 ResilienceSnapshot OfmfService::CollectResilience() const {
   ResilienceSnapshot snapshot;
   {
-    std::lock_guard<std::mutex> lock(breakers_mu_);
-    for (const auto& [fabric_id, breaker] : breakers_by_fabric_) {
+    std::lock_guard<std::mutex> lock(fabric_guards_mu_);
+    for (const auto& [fabric_id, guard] : fabric_guards_) {
       ResilienceSnapshot::FabricBreaker entry;
       entry.fabric_id = fabric_id;
-      entry.state = breaker->state();
-      entry.stats = breaker->stats();
+      entry.state = guard->breaker.state();
+      entry.stats = guard->breaker.stats();
       entry.degraded = FabricDegraded(fabric_id);
       snapshot.breakers.push_back(std::move(entry));
     }
@@ -596,15 +600,8 @@ Status OfmfService::InjectedAgentFault(const std::string& fabric_id) {
   return Status::Ok();
 }
 
-void OfmfService::NoteAgentOutcome(const std::string& fabric_id, const Status& status) {
-  CircuitBreaker* found = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(breakers_mu_);
-    auto it = breakers_by_fabric_.find(fabric_id);
-    if (it == breakers_by_fabric_.end()) return;
-    found = it->second.get();
-  }
-  CircuitBreaker& breaker = *found;
+void OfmfService::NoteAgentOutcome(const std::string& fabric_id, CircuitBreaker& breaker,
+                                   const Status& status) {
   const BreakerState before = breaker.state();
   // Only transport-level failures are agent-health signals; a client error
   // (bad zone spec, unknown endpoint) says nothing about the agent's health.
@@ -626,14 +623,14 @@ void OfmfService::NoteAgentOutcome(const std::string& fabric_id, const Status& s
 }
 
 Result<std::string> OfmfService::GuardedAgentCreate(
-    const std::string& fabric_id, const std::function<Result<std::string>()>& call) {
+    const std::string& fabric_id, FabricGuard& guard,
+    const std::function<Result<std::string>()>& call) {
   trace::Span span("agent.call");
   if (span.active()) span.Note("fabric " + fabric_id);
   static metrics::Histogram& latency =
       metrics::Registry::instance().histogram("agent.call.ns");
   metrics::ScopedTimer timer(latency);
-  auto breaker = BreakerForFabric(fabric_id);
-  if (breaker.ok() && !(*breaker)->Allow()) {
+  if (!guard.breaker.Allow()) {
     if (span.active()) span.Note("rejected: circuit open");
     return Status::Unavailable("circuit open for fabric " + fabric_id +
                                "; serving degraded inventory");
@@ -641,24 +638,26 @@ Result<std::string> OfmfService::GuardedAgentCreate(
   const Status injected = InjectedAgentFault(fabric_id);
   if (!injected.ok()) {
     if (span.active()) span.Note("error: " + injected.message());
-    NoteAgentOutcome(fabric_id, injected);
+    NoteAgentOutcome(fabric_id, guard.breaker, injected);
     return injected;
   }
-  Result<std::string> result = call();
+  Result<std::string> result = [&] {
+    std::lock_guard<std::mutex> lock(guard.call_mu);
+    return call();
+  }();
   if (span.active() && !result.ok()) span.Note("error: " + result.status().message());
-  NoteAgentOutcome(fabric_id, result.status());
+  NoteAgentOutcome(fabric_id, guard.breaker, result.status());
   return result;
 }
 
-Status OfmfService::GuardedAgentDelete(const std::string& fabric_id,
+Status OfmfService::GuardedAgentDelete(const std::string& fabric_id, FabricGuard& guard,
                                        const std::function<Status()>& call) {
   trace::Span span("agent.call");
   if (span.active()) span.Note("fabric " + fabric_id + " delete");
   static metrics::Histogram& latency =
       metrics::Registry::instance().histogram("agent.call.ns");
   metrics::ScopedTimer timer(latency);
-  auto breaker = BreakerForFabric(fabric_id);
-  if (breaker.ok() && !(*breaker)->Allow()) {
+  if (!guard.breaker.Allow()) {
     if (span.active()) span.Note("rejected: circuit open");
     return Status::Unavailable("circuit open for fabric " + fabric_id +
                                "; serving degraded inventory");
@@ -666,12 +665,15 @@ Status OfmfService::GuardedAgentDelete(const std::string& fabric_id,
   const Status injected = InjectedAgentFault(fabric_id);
   if (!injected.ok()) {
     if (span.active()) span.Note("error: " + injected.message());
-    NoteAgentOutcome(fabric_id, injected);
+    NoteAgentOutcome(fabric_id, guard.breaker, injected);
     return injected;
   }
-  const Status result = call();
+  const Status result = [&] {
+    std::lock_guard<std::mutex> lock(guard.call_mu);
+    return call();
+  }();
   if (span.active() && !result.ok()) span.Note("error: " + result.message());
-  NoteAgentOutcome(fabric_id, result);
+  NoteAgentOutcome(fabric_id, guard.breaker, result);
   return result;
 }
 

@@ -180,14 +180,26 @@ class OfmfService {
   /// missing 401). Returns the error response when the request is denied.
   std::optional<http::Response> Authenticate(const http::Request& request);
 
-  /// Runs one agent call under its breaker and fault point; records the
-  /// outcome and degrades/restores the fabric on breaker transitions.
-  Result<std::string> GuardedAgentCreate(const std::string& fabric_id,
+  /// Per-fabric agent guard, created by RegisterAgent and never erased, so
+  /// the pointers handed out stay valid.
+  struct FabricGuard {
+    CircuitBreaker breaker;
+    // Held across every call into the fabric's agent: requests reach it
+    // from any worker thread, and agents and the fabric managers behind
+    // them keep unsynchronized state (controller maps, id counters).
+    std::mutex call_mu;
+  };
+
+  /// Runs one agent call under its breaker, fault point and call lock;
+  /// records the outcome and degrades/restores the fabric on breaker
+  /// transitions.
+  Result<std::string> GuardedAgentCreate(const std::string& fabric_id, FabricGuard& guard,
                                          const std::function<Result<std::string>()>& call);
-  Status GuardedAgentDelete(const std::string& fabric_id,
+  Status GuardedAgentDelete(const std::string& fabric_id, FabricGuard& guard,
                             const std::function<Status()>& call);
   Status InjectedAgentFault(const std::string& fabric_id);
-  void NoteAgentOutcome(const std::string& fabric_id, const Status& status);
+  void NoteAgentOutcome(const std::string& fabric_id, CircuitBreaker& breaker,
+                        const Status& status);
 
   /// Marks every resource in the fabric subtree Critical/UnavailableOffline
   /// (served stale instead of deleted) and remembers exactly which URIs it
@@ -215,11 +227,10 @@ class OfmfService {
   // ReconcileWithAgents marks everything else in that agent's fabric Absent.
   mutable std::mutex adopt_mu_;
   std::set<std::string> adopted_uris_;
-  // Breakers are created by RegisterAgent and never erased, so the
-  // CircuitBreaker pointers handed out stay valid; the mutex guards the map
-  // itself against an agent registering while readers iterate or look up.
-  mutable std::mutex breakers_mu_;
-  std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_by_fabric_;
+  // The mutex guards the map itself against an agent registering while
+  // readers iterate or look up.
+  mutable std::mutex fabric_guards_mu_;
+  std::map<std::string, std::unique_ptr<FabricGuard>> fabric_guards_;
   mutable std::mutex degraded_mu_;
   // fabric -> (uri, pre-degradation Status) so Restore puts back what was
   // actually there, not a blanket Enabled/OK.

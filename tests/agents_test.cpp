@@ -1,6 +1,12 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "agents/cxl_agent.hpp"
 #include "agents/ethernet_agent.hpp"
 #include "agents/genz_agent.hpp"
@@ -12,6 +18,7 @@
 #include "ofmf/service.hpp"
 #include "ofmf/uris.hpp"
 #include "agents/port_publisher.hpp"
+#include "http/server.hpp"
 #include "redfish/conformance.hpp"
 
 namespace ofmf::agents {
@@ -370,6 +377,77 @@ TEST_F(NvmeofAgentTest, ConnectionAllowsHostAndConnects) {
   EXPECT_EQ(ofmf_.Handle(http::MakeRequest(http::Method::kDelete, connection_uri)).status,
             204);
   EXPECT_FALSE(manager_.ListControllers()[0].connected);
+}
+
+// Requests reach an agent from whichever reactor worker runs them. Launchers
+// attaching and detaching storage at once must each get their own
+// controller, and every detach must release exactly what its attach took.
+TEST_F(NvmeofAgentTest, ConcurrentAttachDetachOverTcpKeepsControllersDistinct) {
+  http::TcpServer server;
+  ASSERT_TRUE(server.Start(ofmf_.Handler(), 0).ok());
+  constexpr int kLaunchers = 4;
+  constexpr int kAttachesEach = 20;
+  const Json body = Json::Obj(
+      {{"Name", "nvme-attach"},
+       {"ConnectionType", "Storage"},
+       {"Oem", Json::Obj({{"Ofmf", Json::Obj({{"HostNqn", kHostNqn},
+                                              {"SubsystemNqn", kNqn}})}})}});
+  std::vector<std::vector<std::int64_t>> controllers(kLaunchers);
+  std::vector<std::vector<std::string>> uris(kLaunchers);
+  std::vector<int> failures(kLaunchers, 0);
+  std::vector<std::thread> launchers;
+  for (int l = 0; l < kLaunchers; ++l) {
+    launchers.emplace_back([&, l] {
+      http::TcpClient client(server.port());
+      std::string previous;  // detach one attach behind, so POSTs meet DELETEs
+      auto detach = [&](const std::string& uri) {
+        auto deleted = client.Send(http::MakeRequest(http::Method::kDelete, uri));
+        if (!deleted.ok() || deleted->status != 204) ++failures[l];
+      };
+      for (int i = 0; i < kAttachesEach; ++i) {
+        auto created = client.Send(http::MakeJsonRequest(
+            http::Method::kPost, core::FabricUri("NVMeoF") + "/Connections", body));
+        if (!created.ok() || created->status != 201) {
+          ++failures[l];
+          continue;
+        }
+        auto doc = Parse(created->body.view());
+        const Json* cntlid =
+            doc.ok() ? json::ResolvePointerRef(*doc, "/VolumeInfo/0/ControllerId") : nullptr;
+        if (cntlid == nullptr || !cntlid->is_int()) {
+          ++failures[l];
+          continue;
+        }
+        controllers[l].push_back(cntlid->as_int());
+        uris[l].push_back(created->headers.GetOr("Location", ""));
+        if (!previous.empty()) detach(previous);
+        previous = uris[l].back();
+      }
+      if (!previous.empty()) detach(previous);
+    });
+  }
+  for (auto& launcher : launchers) launcher.join();
+  server.Stop();
+
+  std::set<std::int64_t> distinct_controllers;
+  std::set<std::string> distinct_uris;
+  for (int l = 0; l < kLaunchers; ++l) {
+    EXPECT_EQ(failures[l], 0) << "launcher " << l;
+    distinct_controllers.insert(controllers[l].begin(), controllers[l].end());
+    distinct_uris.insert(uris[l].begin(), uris[l].end());
+  }
+  constexpr std::size_t kTotal = kLaunchers * kAttachesEach;
+  EXPECT_EQ(distinct_controllers.size(), kTotal);
+  EXPECT_EQ(distinct_uris.size(), kTotal);
+  // Nothing left behind: no connection resource, no live controller.
+  const auto remaining = ofmf_.tree().Members(core::FabricUri("NVMeoF") + "/Connections");
+  ASSERT_TRUE(remaining.ok());
+  EXPECT_TRUE(remaining->empty());
+  const auto native = manager_.ListControllers();
+  EXPECT_EQ(native.size(), kTotal);
+  for (const auto& controller : native) {
+    EXPECT_FALSE(controller.connected) << "controller " << controller.cntlid;
+  }
 }
 
 TEST_F(NvmeofAgentTest, ConnectionBodyValidated) {

@@ -345,6 +345,30 @@ TEST_F(FederationFixture, GlobalSkipTranslatesAcrossShardBoundaries) {
   EXPECT_EQ(members[2], all[4]);
 }
 
+// Paging values past the long long range are malformed input, not a reason
+// to throw out of a pool worker: each answers 400 over the router's own TCP
+// listener, and the router keeps serving aggregated GETs afterwards.
+TEST_F(FederationFixture, OverflowingPagingValuesAnswer400AndRouterKeepsServing) {
+  StartShards(2, 2);
+  http::TcpServer front;
+  ASSERT_TRUE(front.Start(router_->Handler(), 0).ok());
+  http::TcpClient client(front.port());
+  const std::string huge = "99999999999999999999";  // > INT64_MAX
+  for (const std::string& option : {"$top=" + huge, "$skip=" + huge, "$fedskip=s1:" + huge}) {
+    const std::string target = std::string(core::kResourceBlocks) + "?" + option;
+    auto response = client.Send(http::MakeRequest(http::Method::kGet, target));
+    ASSERT_TRUE(response.ok()) << option << ": " << response.status().ToString();
+    EXPECT_EQ(response->status, 400) << option;
+  }
+  auto merged = client.Send(http::MakeRequest(http::Method::kGet, core::kResourceBlocks));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->status, 200);
+  auto doc = json::Parse(merged->body.view());
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->GetInt("Members@odata.count"), 4);
+  front.Stop();
+}
+
 TEST_F(FederationFixture, ShardDeathMidScatterGatherAnnotatesOmission) {
   StartShards(2, 2);
   // Warm the per-shard count cache with one healthy aggregation.

@@ -1,6 +1,12 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "json/merge_patch.hpp"
 #include "json/parse.hpp"
@@ -197,6 +203,102 @@ TEST(SerializeTest, PrettyIsIndentedAndReparses) {
 TEST(SerializeTest, ControlCharsEscaped) {
   EXPECT_EQ(Serialize(Json(std::string("\x01"))), "\"\\u0001\"");
   EXPECT_EQ(QuoteString("tab\there"), "\"tab\\there\"");
+}
+
+TEST(SerializeTest, Int64ExtremesAreExact) {
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(Serialize(Json(min)), "-9223372036854775808");
+  EXPECT_EQ(Serialize(Json(max)), "9223372036854775807");
+  EXPECT_EQ(Parse("-9223372036854775808")->as_int(), min);
+  EXPECT_EQ(Parse("9223372036854775807")->as_int(), max);
+}
+
+TEST(ParseTest, DuplicateKeyKeepsFirstPositionAndLastValue) {
+  auto doc = Parse(R"({"a":1,"b":2,"a":{"c":3}})");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->as_object().size(), 2u);
+  EXPECT_EQ(Serialize(*doc), R"({"a":{"c":3},"b":2})");
+}
+
+// ------------------------------------------------------ Run boundaries ---
+// Parse and Serialize copy runs of bytes that need no escaping in bulk,
+// eight bytes per step; these cases pin behaviour at the edges of a run.
+
+std::string EveryByte() {
+  std::string bytes;
+  for (int b = 0; b < 256; ++b) bytes.push_back(static_cast<char>(b));
+  return bytes;
+}
+
+TEST(RunBoundaryTest, EveryByteSerializesToGoldenAndParsesBack) {
+  const std::string bytes = EveryByte();
+  std::string golden =
+      R"json("\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r)json"
+      R"json(\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018)json"
+      R"json(\u0019\u001a\u001b\u001c\u001d\u001e\u001f !\"#$%&'()*+,-./0123456789)json"
+      R"json(:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefghijklmnopqrstuvwxyz{|}~)json";
+  // DEL and every byte >= 0x80 pass through raw: no escaping, no UTF-8 check.
+  golden += bytes.substr(0x7F);
+  golden += '"';
+  EXPECT_EQ(Serialize(Json(bytes)), golden);
+  auto parsed = Parse(golden);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->as_string(), bytes);
+}
+
+TEST(RunBoundaryTest, EscapeAtEveryOffsetOfARun) {
+  const std::vector<std::pair<char, std::string>> forms = {
+      {'"', "\\\""},        {'\\', "\\\\"},       {'\n', "\\n"},
+      {'\x01', "\\u0001"},  {'\x1f', "\\u001f"},  {'\x7f', "\x7f"},
+      {'\x80', "\x80"},     {'\xff', "\xff"}};
+  for (std::size_t before = 0; before <= 17; ++before) {
+    for (const auto& [byte, escaped] : forms) {
+      const std::string text = std::string(before, 'a') + byte + std::string(9, 'b');
+      const std::string expected =
+          "\"" + std::string(before, 'a') + escaped + std::string(9, 'b') + "\"";
+      EXPECT_EQ(Serialize(Json(text)), expected) << before;
+      auto parsed = Parse(expected);
+      ASSERT_TRUE(parsed.ok()) << expected;
+      EXPECT_EQ(parsed->as_string(), text) << before;
+    }
+  }
+}
+
+struct RunEdgeCase {
+  const char* name;
+  std::string text;
+};
+
+class ParseRejectsAtRunEdge : public ::testing::TestWithParam<RunEdgeCase> {};
+
+TEST_P(ParseRejectsAtRunEdge, Input) {
+  auto result = Parse(GetParam().text);
+  EXPECT_FALSE(result.ok()) << GetParam().text;
+  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, ParseRejectsAtRunEdge,
+    ::testing::Values(
+        RunEdgeCase{"control_after_long_run", "\"" + std::string(100, 'a') + "\x01\""},
+        RunEdgeCase{"del_run_then_control", "\"" + std::string(40, '\x7f') + "\x1f\""},
+        RunEdgeCase{"high_run_then_control", "\"" + std::string(40, '\x80') + "\n\""},
+        RunEdgeCase{"long_run_unterminated", "\"" + std::string(100, 'a')},
+        RunEdgeCase{"lone_trailing_backslash", "\"" + std::string(37, 'a') + "\\"},
+        RunEdgeCase{"cut_unicode_escape", "\"" + std::string(21, 'a') + "\\u00e"},
+        RunEdgeCase{"cut_key_in_object", "{\"" + std::string(30, 'k')}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
+
+TEST(RunBoundaryTest, RejectsAtEveryRunLength) {
+  for (std::size_t run = 0; run <= 24; ++run) {
+    const std::string plain = "\"" + std::string(run, 'a');
+    EXPECT_FALSE(Parse(plain + "\x01\"").ok()) << run;
+    EXPECT_FALSE(Parse(plain).ok()) << run;
+    EXPECT_FALSE(Parse(plain + "\\").ok()) << run;
+    EXPECT_FALSE(Parse(plain + "\\u12").ok()) << run;
+    EXPECT_TRUE(Parse(plain + "\"").ok()) << run;
+  }
 }
 
 // Property: random documents round-trip byte-compare after one normalization.

@@ -4,6 +4,7 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <deque>
 #include <memory>
 
@@ -235,6 +236,28 @@ TEST(RetryingClientTest, DeadlineBudgetBoundsRetryAfterSleeps) {
   EXPECT_EQ(retrying.Get("/x")->status, 503);  // gave up instead of sleeping 2 s
   EXPECT_EQ(raw->calls_, 1);
   EXPECT_EQ(retrying.stats().deadline_exhausted, 1u);
+}
+
+// A Retry-After past what int milliseconds can hold (here, past int64
+// seconds) is a wait beyond any budget: the client gives up at once instead
+// of overflowing into a short or negative sleep.
+TEST(RetryingClientTest, HugeRetryAfterExhaustsDeadlineWithoutSleeping) {
+  for (const char* retry_after : {"2200000", "99999999999999999999"}) {
+    auto inner = std::make_unique<ScriptedClient>();
+    ScriptedClient* raw = inner.get();
+    http::Response overloaded = http::MakeTextResponse(503, "busy");
+    overloaded.headers.Set("Retry-After", retry_after);
+    raw->Push(overloaded);
+    raw->Push(http::MakeTextResponse(200, "ok"));
+    http::RetryPolicy policy = FastPolicy();
+    policy.deadline_ms = 60000;
+    http::RetryingClient retrying(std::move(inner), policy);
+    const auto started = std::chrono::steady_clock::now();
+    EXPECT_EQ(retrying.Get("/x")->status, 503) << retry_after;
+    EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::seconds(5));
+    EXPECT_EQ(raw->calls_, 1) << retry_after;
+    EXPECT_EQ(retrying.stats().deadline_exhausted, 1u) << retry_after;
+  }
 }
 
 // -------------------------------------------------------- HTTP error model ---

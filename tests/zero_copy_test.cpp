@@ -12,7 +12,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -281,9 +283,16 @@ INSTANTIATE_TEST_SUITE_P(Backends, ZeroCopyWireTest,
                            return std::string(http::to_string(backend.param));
                          });
 
-int ConnectLoopback(std::uint16_t port) {
+/// Connects to the loopback listener. A nonzero `rcvbuf` is set before
+/// connect, so the advertised window (and its scale) honours it and receive
+/// autotuning stays off.
+int ConnectLoopback(std::uint16_t port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  if (rcvbuf > 0) {
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0)
+        << std::strerror(errno);
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -293,11 +302,34 @@ int ConnectLoopback(std::uint16_t port) {
   return fd;
 }
 
-// A multi-megabyte response cannot fit the socket buffer: sendmsg returns
+/// This process's listening socket bound to `port` (the server's own), or -1.
+int FindListeningSocket(std::uint16_t port) {
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    const int fd = std::atoi(entry.path().filename().c_str());
+    int listening = 0;
+    socklen_t len = sizeof(listening);
+    if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &len) != 0 || !listening) {
+      continue;
+    }
+    sockaddr_in addr{};
+    socklen_t addr_len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) == 0 &&
+        addr.sin_family == AF_INET && ntohs(addr.sin_port) == port) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+// A multi-megabyte response cannot fit the socket buffers: sendmsg returns
 // partial writes that stop inside the body iovec, and the outbox must
-// resume mid-segment without corrupting or duplicating bytes. The client
-// reads in deliberately tiny chunks to maximize the number of partial
-// writes, then checksums the body byte-for-byte.
+// resume mid-segment without corrupting or duplicating bytes. The partial
+// writes are forced rather than left to the host's buffer autotuning (which
+// can size a loopback send buffer near 4 MiB at accept): the listener gets
+// a small, locked SO_SNDBUF that the accepted socket inherits, and the
+// client a small SO_RCVBUF before connect, so one sendmsg can move at most
+// a few hundred KiB of the 4 MiB body. Small reads drain it in many steps,
+// and the body is compared byte-for-byte.
 TEST_P(ZeroCopyWireTest, PartialWritevResumesMidIovecWithoutCorruption) {
   // A patterned body makes any mid-iovec resumption bug (skipped or
   // repeated range) corrupt the comparison, not just the length.
@@ -319,15 +351,18 @@ TEST_P(ZeroCopyWireTest, PartialWritevResumesMidIovecWithoutCorruption) {
                   0, Options())
                   .ok());
 
-  // A 4 MiB body far exceeds the default loopback socket buffers, so the
-  // first sendmsg is guaranteed partial and the flush resumes mid-iovec.
-  const int fd = ConnectLoopback(server.port());
+  const int listener = FindListeningSocket(server.port());
+  ASSERT_GE(listener, 0);
+  const int sndbuf = 64 * 1024;
+  ASSERT_EQ(::setsockopt(listener, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0)
+      << std::strerror(errno);
+  const int fd = ConnectLoopback(server.port(), /*rcvbuf=*/64 * 1024);
   const std::string wire = "GET /blob HTTP/1.1\r\nHost: x\r\n\r\n";
   ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(wire.size()));
 
   http::WireParser parser(http::WireParser::Mode::kResponse);
-  std::vector<char> chunk(64 * 1024);
+  std::vector<char> chunk(4 * 1024);
   while (!parser.HasMessage()) {
     const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
     ASSERT_GT(n, 0) << "connection died mid-response";
