@@ -155,6 +155,9 @@ class TraceRecorder {
   std::vector<std::pair<std::uint64_t, std::vector<SpanRecord>>> retained_;
 };
 
+/// Tag for a span that is never installed as the ambient context.
+struct Detached {};
+
 /// RAII span. The plain constructor opens a child of the ambient context and
 /// is a no-op when the thread carries none. The entry-point constructor
 /// (with a remote context) is for transport boundaries: it prefers the
@@ -164,6 +167,10 @@ class Span {
  public:
   explicit Span(const char* name);
   Span(const char* name, TraceContext remote);
+  /// A child of `parent` that leaves the ambient context alone, for work
+  /// interleaved on one thread whose spans end in any order (the router's
+  /// batched shard legs). No-op when `parent` is inactive.
+  Span(const char* name, TraceContext parent, Detached);
   ~Span() { End(); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -183,6 +190,7 @@ class Span {
   void Start(const char* name, TraceContext parent);
 
   bool active_ = false;
+  bool detached_ = false;  // never installed as the ambient context
   TraceContext prev_;  // ambient context to restore on End()
   SpanRecord rec_;
 };

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <iterator>
-#include <string_view>
-#include <thread>
-
 #include <set>
+#include <string_view>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
@@ -90,22 +87,104 @@ std::optional<std::pair<std::string, long long>> ParseFedSkip(const std::string&
   return std::make_pair(value.substr(0, colon), *offset);
 }
 
-Result<json::Json> ParseCollectionDoc(const http::Response& response) {
-  if (!response.ok()) {
-    return Status::Unavailable("shard answered HTTP " + std::to_string(response.status));
-  }
-  auto doc = json::Parse(response.body.view());
-  if (!doc.ok() || !doc.value().is_object()) {
-    return Status::Internal("shard returned malformed collection body");
-  }
-  return doc;
+/// One shard's part of an aggregated GET: its page, checked by the JSON
+/// grammar, or only its member count.
+struct ShardPage {
+  std::string shard_id;
+  bool ok = false;
+  long long count = 0;
+  http::Body body;  // the page's bytes, which `members` points into
+  std::optional<json::RawDocument> members;  // unset for a count-only page
+};
+
+/// A page's Members@odata.count, else the number of its Members. A count
+/// that is not an int64 counts as missing, as in Json::GetInt.
+long long CountOf(const json::RawDocument& page) {
+  const json::RawMember* members = page.Find("Members");
+  const long long fallback =
+      members != nullptr ? static_cast<long long>(members->elements.size()) : 0;
+  const json::RawMember* count = page.Find("Members@odata.count");
+  if (count == nullptr) return fallback;
+  const auto value = json::Parse(count->value);
+  return value.ok() ? json::IntOr(value.value(), fallback) : fallback;
 }
 
-long long CountOf(const json::Json& doc) {
-  const json::Json& members = doc.at("Members");
-  const long long fallback =
-      members.is_array() ? static_cast<long long>(members.as_array().size()) : 0;
-  return doc.GetInt("Members@odata.count", fallback);
+/// Accepts a shard's answer as a collection page: 2xx, and a body that the
+/// JSON grammar accepts as an object. No DOM is built; `keep_members` keeps
+/// the top-level members for the splice.
+Status ReadPage(Result<http::Response>& response, ShardPage& page, bool keep_members) {
+  if (!response.ok()) return response.status();
+  if (!response.value().ok()) {
+    return Status::Unavailable("shard answered HTTP " +
+                               std::to_string(response.value().status));
+  }
+  page.body = std::move(response.value().body);
+  auto doc = json::ParseRaw(page.body.view());
+  if (!doc.ok() || !doc.value().is_object) {
+    return Status::Internal("shard returned malformed collection body");
+  }
+  page.ok = true;
+  page.count = CountOf(doc.value());
+  if (keep_members) page.members = std::move(doc.value());
+  return Status::Ok();
+}
+
+/// A merged collection's top-level members as key and value bytes, edited
+/// with Object::Set and Object::Erase semantics so the splice keeps the
+/// member order of a DOM merge.
+using Fields = std::vector<std::pair<std::string, std::string>>;
+
+Fields::iterator FindField(Fields& fields, std::string_view key) {
+  return std::find_if(fields.begin(), fields.end(),
+                      [key](const auto& field) { return field.first == key; });
+}
+
+void SetField(Fields& fields, std::string_view key, std::string value) {
+  auto it = FindField(fields, key);
+  if (it == fields.end()) {
+    fields.emplace_back(std::string(key), std::move(value));
+  } else {
+    it->second = std::move(value);
+  }
+}
+
+void EraseField(Fields& fields, std::string_view key) {
+  auto it = FindField(fields, key);
+  if (it != fields.end()) fields.erase(it);
+}
+
+/// Writes the merged body: each field's bytes, except that Members is every
+/// page's Members elements, copied as the shards wrote them, in shard order.
+std::string SpliceCollection(const Fields& fields, const std::vector<ShardPage>& pages) {
+  std::size_t size = 2;
+  for (const auto& [key, value] : fields) size += key.size() + value.size() + 4;
+  for (const ShardPage& page : pages) size += page.body.size();
+  std::string body;
+  body.reserve(size);
+  body += '{';
+  for (const auto& [key, value] : fields) {
+    if (body.size() > 1) body += ',';
+    body += json::QuoteString(key);
+    body += ':';
+    if (key != "Members") {
+      body += value;
+      continue;
+    }
+    body += '[';
+    const std::size_t first = body.size();
+    for (const ShardPage& page : pages) {
+      if (!page.members) continue;
+      const json::RawMember* members = page.members->Find("Members");
+      if (members == nullptr) continue;
+      for (const std::string_view element : members->elements) {
+        if (body.size() > first) body += ',';
+        body += element;
+      }
+    }
+    body += ']';
+  }
+  body += '}';
+  return body;
 }
 
 }  // namespace
@@ -158,48 +237,86 @@ std::shared_ptr<http::TcpClient> FederationRouter::ClientFor(const ShardInfo& sh
   return client;
 }
 
-Result<http::Response> FederationRouter::SendToShard(const ShardInfo& shard,
-                                                     const http::Request& request) {
-  // Stamp the ambient trace identity on every outbound attempt (each caller
-  // span — claim, forward, fetch leg — is the parent the shard adopts). The
-  // request is only copied when a trace is actually active.
-  const trace::TraceContext ctx = trace::Current();
-  http::Request traced;
-  const http::Request* to_send = &request;
-  if (ctx.active()) {
-    traced = request;
-    traced.headers.Set(trace::kTraceIdHeader, trace::IdToHex(ctx.trace_id));
-    traced.headers.Set(trace::kSpanIdHeader, trace::IdToHex(ctx.span_id));
-    to_send = &traced;
-  }
+void FederationRouter::SendAll(std::vector<ShardCall> calls, const char* leg_span,
+                               const OnShardResponse& on_response) {
   std::shared_ptr<FaultInjector> faults;
   {
     std::lock_guard<std::mutex> lock(mu_);
     faults = faults_;
   }
-  if (faults) {
-    const FaultDecision decision = faults->Evaluate("federation.shard." + shard.id);
-    switch (decision.kind) {
-      case FaultKind::kDelay:
-        std::this_thread::sleep_for(std::chrono::milliseconds(decision.delay_ms));
-        break;
-      case FaultKind::kDropConnection:
-      case FaultKind::kCrash:
-        return Status::Unavailable("shard " + shard.id + " unreachable (injected)");
-      case FaultKind::kErrorStatus:
-        return http::MakeJsonResponse(
-            decision.http_status,
-            redfish::MakeErrorBody("Base.1.0.GeneralError", "injected shard error"));
-      case FaultKind::kDropResponse: {
-        auto ignored = ClientFor(shard)->Send(*to_send);
-        (void)ignored;
-        return Status::Unavailable("shard " + shard.id + " response lost (injected)");
-      }
-      default:
-        break;
+  const trace::TraceContext ambient = trace::Current();
+  std::vector<std::optional<trace::Span>> spans(calls.size());
+  std::vector<bool> lost(calls.size(), false);  // kDropResponse: sent, answer dropped
+  auto complete = [&](std::size_t i, Result<http::Response> response) {
+    if (lost[i]) {
+      response = Status::Unavailable("shard " + calls[i].shard->id + " response lost (injected)");
     }
+    const bool usable = on_response(i, response);
+    if (spans[i]) {
+      if (!usable) spans[i]->SetError();
+      spans[i]->End();
+    }
+  };
+  std::vector<http::TcpClient::Exchange> exchanges;
+  std::vector<std::size_t> call_of;  // call index of each exchange
+  std::vector<std::shared_ptr<http::TcpClient>> clients;  // alive for the batch
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    ShardCall& call = calls[i];
+    // Each call stamps its own parent on the wire: its leg span, else the
+    // ambient span (claim, forward, probe) the shard then hangs off.
+    trace::TraceContext ctx = ambient;
+    if (leg_span != nullptr && ambient.active()) {
+      spans[i].emplace(leg_span, ambient, trace::Detached{});
+      spans[i]->Note(call.shard->id);
+      ctx = spans[i]->context();
+    }
+    if (ctx.active()) {
+      call.request.headers.Set(trace::kTraceIdHeader, trace::IdToHex(ctx.trace_id));
+      call.request.headers.Set(trace::kSpanIdHeader, trace::IdToHex(ctx.span_id));
+    }
+    int delay_ms = 0;
+    if (faults) {
+      const FaultDecision decision = faults->Evaluate("federation.shard." + call.shard->id);
+      switch (decision.kind) {
+        case FaultKind::kDelay:
+          delay_ms = decision.delay_ms;
+          break;
+        case FaultKind::kDropConnection:
+        case FaultKind::kCrash:
+          complete(i, Status::Unavailable("shard " + call.shard->id + " unreachable (injected)"));
+          continue;
+        case FaultKind::kErrorStatus:
+          complete(i, http::MakeJsonResponse(decision.http_status,
+                                             redfish::MakeErrorBody("Base.1.0.GeneralError",
+                                                                    "injected shard error")));
+          continue;
+        case FaultKind::kDropResponse:
+          lost[i] = true;
+          break;
+        default:
+          break;
+      }
+    }
+    clients.push_back(ClientFor(*call.shard));
+    exchanges.push_back({clients.back().get(), std::move(call.request), delay_ms});
+    call_of.push_back(i);
   }
-  return ClientFor(shard)->Send(*to_send);
+  http::TcpClient::SendBatch(std::move(exchanges),
+                             [&](std::size_t k, Result<http::Response> response) {
+                               complete(call_of[k], std::move(response));
+                             });
+}
+
+Result<http::Response> FederationRouter::SendToShard(const ShardInfo& shard,
+                                                     const http::Request& request) {
+  Result<http::Response> result = Status::Internal("no response");
+  std::vector<ShardCall> call;
+  call.push_back({&shard, request});
+  SendAll(std::move(call), nullptr, [&result](std::size_t, Result<http::Response>& response) {
+    result = std::move(response);
+    return true;
+  });
+  return result;
 }
 
 http::Response FederationRouter::ForwardTo(const ShardInfo& shard,
@@ -227,8 +344,7 @@ const ShardInfo* FederationRouter::DefaultShard(const RoutingTable& table,
 }
 
 http::Response FederationRouter::Route(const http::Request& request) {
-  // Every span this request records — here and on worker threads that
-  // re-install it — is attributed to the router node.
+  // Every span this request records is attributed to the router node.
   trace::ScopedOrigin origin("router");
   // Adopt the wire trace identity or mint one, exactly like a shard's
   // http.handle entry point; sampling 0 skips even the header scan.
@@ -369,23 +485,19 @@ Result<long long> FederationRouter::FetchCount(
   query["$top"] = "0";
   auto resp = SendToShard(shard, http::MakeRequest(http::Method::kGet,
                                                    BuildTarget(path, query)));
-  if (!resp.ok()) return resp.status();
-  auto doc = ParseCollectionDoc(resp.value());
-  if (!doc.ok()) return doc.status();
-  const long long count = CountOf(doc.value());
-  CacheCount(path, shard.id, count);
-  return count;
+  ShardPage page;
+  OFMF_RETURN_IF_ERROR(ReadPage(resp, page, /*keep_members=*/false));
+  CacheCount(path, shard.id, page.count);
+  return page.count;
 }
 
 http::Response FederationRouter::AggregateCollection(const http::Request& request,
                                                      const RoutingTable& table) {
   aggregations_.fetch_add(1, std::memory_order_relaxed);
   const std::string path = http::NormalizePath(request.path);
-  // One aggregate span parents every scatter leg; its context is captured by
-  // value because ambient trace state does not cross std::thread.
+  // One aggregate span parents every shard leg.
   trace::Span agg_span("router.aggregate");
   if (agg_span.active()) agg_span.Note(path);
-  const trace::TraceContext agg_ctx = agg_span.context();
 
   // Paging options. $fedskip is the router's own stable continuation token
   // (shard id + per-shard offset); a raw global $skip is translated on the
@@ -421,50 +533,25 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
   const bool paged = top.has_value() || global_skip > 0 || fedskip.has_value();
 
   std::vector<ShardPage> pages(table.shards.size());
-  json::Array members;
-  long long total = 0;
-  long long omitted_members = 0;
-  json::Array omitted_shards;
+  for (std::size_t i = 0; i < pages.size(); ++i) pages[i].shard_id = table.shards[i].id;
   std::optional<std::pair<std::string, long long>> resume;
 
   if (!paged) {
-    // Plain GET: fan out to every shard concurrently and concatenate.
-    std::vector<std::thread> threads;
-    threads.reserve(table.shards.size());
+    // Plain GET: every live shard's page in one batch on this thread, each
+    // checked as it lands.
+    const std::string target = BuildTarget(path, base_query);
+    std::vector<ShardCall> calls;
+    std::vector<std::size_t> page_of;  // page index of each call
     for (std::size_t i = 0; i < table.shards.size(); ++i) {
-      threads.emplace_back([this, &table, &pages, &base_query, &path, i, agg_ctx] {
-        const ShardInfo& shard = table.shards[i];
-        ShardPage& page = pages[i];
-        page.shard_id = shard.id;
-        if (!shard.alive) return;
-        // Sibling span per leg, adopted from the captured aggregate context
-        // (worker threads carry no ambient context of their own — the guard
-        // keeps an untraced request from minting a trace per leg).
-        trace::ScopedOrigin origin("router");
-        std::optional<trace::Span> leg;
-        if (agg_ctx.active()) {
-          leg.emplace("router.fetch", agg_ctx);
-          leg->Note(shard.id);
-        }
-        auto resp = SendToShard(
-            shard, http::MakeRequest(http::Method::kGet, BuildTarget(path, base_query)));
-        if (!resp.ok()) {
-          if (leg) leg->SetError();
-          return;
-        }
-        auto doc = ParseCollectionDoc(resp.value());
-        if (!doc.ok()) {
-          if (leg) leg->SetError();
-          return;
-        }
-        page.ok = true;
-        page.have_doc = true;
-        page.count = CountOf(doc.value());
-        page.doc = std::move(doc.value());
-      });
+      if (!table.shards[i].alive) continue;
+      calls.push_back({&table.shards[i], http::MakeRequest(http::Method::kGet, target)});
+      page_of.push_back(i);
     }
-    for (auto& t : threads) t.join();
-    for (auto& page : pages) {
+    SendAll(std::move(calls), "router.fetch",
+            [&](std::size_t call, Result<http::Response>& response) {
+              return ReadPage(response, pages[page_of[call]], /*keep_members=*/true).ok();
+            });
+    for (const ShardPage& page : pages) {
       if (page.ok) CacheCount(path, page.shard_id, page.count);
     }
   } else {
@@ -475,7 +562,6 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
     for (std::size_t i = 0; i < table.shards.size(); ++i) {
       const ShardInfo& shard = table.shards[i];
       ShardPage& page = pages[i];
-      page.shard_id = shard.id;
       long long per_shard_skip = 0;
       if (!started) {
         if (fedskip && shard.id == fedskip->first) {
@@ -512,19 +598,11 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
       if (top) query["$top"] = std::to_string(top.value());
       auto resp = SendToShard(
           shard, http::MakeRequest(http::Method::kGet, BuildTarget(path, query)));
-      if (!resp.ok()) continue;
-      auto doc = ParseCollectionDoc(resp.value());
-      if (!doc.ok()) continue;
-      page.ok = true;
-      page.have_doc = true;
-      page.count = CountOf(doc.value());
-      page.doc = std::move(doc.value());
+      if (!ReadPage(resp, page, /*keep_members=*/true).ok()) continue;
       CacheCount(path, shard.id, page.count);
-      const json::Json* shard_members = json::ResolvePointerRef(page.doc, "/Members");
+      const json::RawMember* shard_members = page.members->Find("Members");
       const long long taken =
-          shard_members != nullptr && shard_members->is_array()
-              ? static_cast<long long>(shard_members->as_array().size())
-              : 0;
+          shard_members != nullptr ? static_cast<long long>(shard_members->elements.size()) : 0;
       remaining_skip = std::max(0ll, remaining_skip - std::max(0ll, page.count - per_shard_skip));
       if (top) *top = std::max(0ll, top.value() - taken);
       const long long consumed = std::min(eff_skip, page.count) + taken;
@@ -532,49 +610,42 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
     }
   }
 
-  // Merge. The envelope comes from the first full shard doc; Members are
-  // concatenated in shard order; the count is the federation-wide total.
-  json::Json merged;
-  std::size_t ok_pages = 0;
-  for (auto& page : pages) {
+  // Merge. The first full page is the envelope, Members are every page's
+  // member bytes in shard order, and the count is the federation-wide total.
+  long long total = 0;
+  long long omitted_members = 0;
+  json::Array omitted_shards;
+  const ShardPage* envelope = nullptr;
+  for (const ShardPage& page : pages) {
     if (!page.ok) {
-      const auto cached = CachedCount(path, page.shard_id);
-      omitted_members += cached.value_or(0);
+      omitted_members += CachedCount(path, page.shard_id).value_or(0);
       omitted_shards.push_back(json::Json(page.shard_id));
       continue;
     }
-    ++ok_pages;
     total += page.count;
-    if (!page.have_doc) continue;
-    if (page.doc.is_object() && page.doc.at("Members").is_array()) {
-      json::Array& page_members = page.doc["Members"].as_array();
-      if (members.empty()) {
-        members = std::move(page_members);
-      } else {
-        members.insert(members.end(), std::make_move_iterator(page_members.begin()),
-                       std::make_move_iterator(page_members.end()));
-      }
-    }
-    // The first full page becomes the envelope, moved in once its Members
-    // are out; the Set below refills that member at the same position.
-    if (merged.is_null()) merged = std::move(page.doc);
+    if (envelope == nullptr && page.members) envelope = &page;
   }
-  if (ok_pages == 0) {
+  if (omitted_shards.size() == pages.size()) {
     return redfish::ErrorResponse(
         Status::Unavailable("no shard reachable for " + path));
   }
-  if (merged.is_null()) {
+  Fields fields;
+  if (envelope != nullptr) {
+    for (const json::RawMember& member : envelope->members->members) {
+      // Members is spliced from every page when the body is written.
+      fields.emplace_back(member.key,
+                          member.key == "Members" ? std::string() : std::string(member.value));
+    }
+  } else {
     // Every contributing shard answered count-only ($top=0 page): synthesize
     // the envelope.
-    merged = json::Json::Obj({{"@odata.id", path},
-                              {"Name", "Federated collection"},
-                              {"Members", json::Json::MakeArray()}});
+    fields = {{"@odata.id", json::QuoteString(path)},
+              {"Name", json::QuoteString("Federated collection")}};
   }
-  auto& obj = merged.as_object();
-  obj.Set("Members", json::Json(std::move(members)));
-  obj.Set("Members@odata.count", static_cast<std::int64_t>(total));
-  obj.Erase("@odata.etag");      // a merged body has no single source version
-  obj.Erase("@odata.nextLink");  // shard-local links are meaningless here
+  SetField(fields, "Members", std::string());
+  SetField(fields, "Members@odata.count", std::to_string(total));
+  EraseField(fields, "@odata.etag");      // a merged body has no single source version
+  EraseField(fields, "@odata.nextLink");  // shard-local links are meaningless here
   if (resume) {
     std::map<std::string, std::string> next_query = base_query;
     // Preserve the client's original page size in the continuation.
@@ -582,7 +653,7 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
       next_query["$top"] = it->second;
     }
     next_query["$fedskip"] = resume->first + ":" + std::to_string(resume->second);
-    obj.Set("@odata.nextLink", BuildTarget(path, next_query));
+    SetField(fields, "@odata.nextLink", json::QuoteString(BuildTarget(path, next_query)));
   }
   if (!omitted_shards.empty()) {
     degraded_.fetch_add(1, std::memory_order_relaxed);
@@ -604,15 +675,24 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
       agg_span.Note("degraded: " + omitted_ids);
       agg_span.SetError();
     }
-    json::Json& oem = merged["Oem"];
+    // The annotation edits only the envelope's Oem member, as a DOM.
+    json::Json oem;
+    if (auto it = FindField(fields, "Oem"); it != fields.end()) {
+      auto parsed = json::Parse(it->second);
+      if (parsed.ok()) oem = std::move(parsed.value());
+    }
     if (!oem.is_object()) oem = json::Json::MakeObject();
     json::Json& ofmf = oem["Ofmf"];
     if (!ofmf.is_object()) ofmf = json::Json::MakeObject();
     ofmf.as_object().Set("MembersOmittedCount",
                          static_cast<std::int64_t>(omitted_members));
     ofmf.as_object().Set("DegradedShards", json::Json(std::move(omitted_shards)));
+    SetField(fields, "Oem", json::Serialize(oem));
   }
-  return http::MakeJsonResponse(200, merged);
+  http::Response response;
+  response.body = SpliceCollection(fields, pages);
+  response.headers.Set("Content-Type", "application/json");
+  return response;
 }
 
 Result<ShardInfo> FederationRouter::ResolveResourceShard(const std::string& uri,
@@ -1045,40 +1125,28 @@ std::optional<http::Response> FederationRouter::TelemetryIntercept(
 FleetMetrics FederationRouter::GatherFleetMetrics(const RoutingTable& table) {
   static const std::string kDumpTarget =
       std::string(kServiceRoot) + "/Actions/OfmfService.MetricsDump";
-  // Scatter the one-shot dump action to every live shard; gather into docs
-  // and fold sequentially (FleetMetrics itself is not thread-safe).
-  const trace::TraceContext ctx = trace::Current();
-  std::vector<std::optional<json::Json>> docs(table.shards.size());
-  std::vector<std::thread> threads;
-  threads.reserve(table.shards.size());
-  for (std::size_t i = 0; i < table.shards.size(); ++i) {
-    threads.emplace_back([this, &table, &docs, i, ctx] {
-      const ShardInfo& shard = table.shards[i];
-      if (!shard.alive) return;
-      trace::ScopedOrigin origin("router");
-      std::optional<trace::Span> leg;
-      if (ctx.active()) {
-        leg.emplace("router.metrics_fetch", ctx);
-        leg->Note(shard.id);
-      }
-      auto resp = SendToShard(
-          shard, http::MakeRequest(http::Method::kPost, kDumpTarget));
-      if (!resp.ok() || !resp.value().ok()) {
-        if (leg) leg->SetError();
-        return;
-      }
-      auto doc = json::Parse(resp.value().body.view());
-      if (!doc.ok() || !doc.value().is_object()) {
-        if (leg) leg->SetError();
-        return;
-      }
-      docs[i] = std::move(doc.value());
-    });
+  // Every live shard's one-shot dump in one batch; folded in shard order once
+  // all have landed.
+  std::vector<ShardCall> calls;
+  for (const ShardInfo& shard : table.shards) {
+    if (shard.alive) {
+      calls.push_back({&shard, http::MakeRequest(http::Method::kPost, kDumpTarget)});
+    }
   }
-  for (auto& t : threads) t.join();
+  std::vector<const ShardInfo*> shards;
+  for (const ShardCall& call : calls) shards.push_back(call.shard);
+  std::vector<std::optional<json::Json>> docs(calls.size());
+  SendAll(std::move(calls), "router.metrics_fetch",
+          [&docs](std::size_t i, Result<http::Response>& response) {
+            if (!response.ok() || !response.value().ok()) return false;
+            auto doc = json::Parse(response.value().body.view());
+            if (!doc.ok() || !doc.value().is_object()) return false;
+            docs[i] = std::move(doc.value());
+            return true;
+          });
   FleetMetrics fleet;
-  for (std::size_t i = 0; i < table.shards.size(); ++i) {
-    if (docs[i]) fleet.Absorb(table.shards[i].id, *docs[i]);
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    if (docs[i]) fleet.Absorb(shards[i]->id, *docs[i]);
   }
   return fleet;
 }

@@ -1,7 +1,8 @@
 // FederationRouter: the stateless front tier of a federated OFMF. It
 // terminates Redfish on the epoll reactor (Handler() plugs straight into
 // TcpServer), routes each URI to the owning shard over pooled keep-alive
-// TcpClients, aggregates collection GETs with scatter-gather fan-out, and
+// TcpClients, aggregates collection GETs by gathering every shard's page in
+// one batch on the calling worker and splicing their member bytes, and
 // forwards cross-shard composition as a two-phase claim (wire ETag-CAS on
 // every block, then an idempotent POST to the home shard) with rollback on
 // partial failure. See DESIGN.md "Federation".
@@ -9,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -74,13 +76,15 @@ class FederationRouter {
   json::Json AssembleTrace(std::uint64_t trace_id, const RoutingTable& table);
 
  private:
-  struct ShardPage {
-    bool ok = false;
-    std::string shard_id;
-    long long count = 0;
-    bool have_doc = false;
-    json::Json doc;  // full collection doc (Members intact) when have_doc
+  /// One downstream request of a SendAll batch.
+  struct ShardCall {
+    const ShardInfo* shard;
+    http::Request request;
   };
+  /// Takes each call's outcome as it lands (index into the batch); returns
+  /// false when the response is unusable, which marks the leg's span failed.
+  using OnShardResponse =
+      std::function<bool(std::size_t index, Result<http::Response>& response)>;
 
   /// Route() minus the tracing wrapper (wire adoption, router.route span,
   /// trace-id echo, slow-trace assembly).
@@ -101,7 +105,13 @@ class FederationRouter {
   /// Ring for the current epoch (rebuilt only on epoch change).
   HashRing RingFor(const RoutingTable& table);
   std::shared_ptr<http::TcpClient> ClientFor(const ShardInfo& shard);
-  /// One downstream call, through the shard's fault point.
+  /// Sends every call through its shard's fault point in one
+  /// TcpClient::SendBatch on the calling thread. With `leg_span` set, each
+  /// call gets a span of that name under the ambient context and stamps that
+  /// span's identity on the wire; otherwise it stamps the ambient context.
+  void SendAll(std::vector<ShardCall> calls, const char* leg_span,
+               const OnShardResponse& on_response);
+  /// One downstream call: SendAll with one call and no span of its own.
   Result<http::Response> SendToShard(const ShardInfo& shard, const http::Request& request);
 
   http::Response ForwardTo(const ShardInfo& shard, const http::Request& request);

@@ -1017,163 +1017,290 @@ void TcpClient::Release(int fd) {
   }
 }
 
-Result<int> TcpClient::Connect() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::Internal("socket(): " + std::string(std::strerror(errno)));
+struct TcpClient::Leg {
+  enum class Stage { kDelayed, kConnecting, kSending, kReceiving, kDone };
+  using Clock = std::chrono::steady_clock;
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port_);
+  Leg(TcpClient* owner, Request req) : client(owner), request(std::move(req)) {}
 
-  if (timeout_ms_ > 0) {
-    // Bounded connect: non-blocking connect + poll, then back to blocking
-    // with SO_RCVTIMEO/SO_SNDTIMEO covering the request/response exchange.
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      if (errno != EINPROGRESS) {
-        ::close(fd);
-        return Status::Unavailable("connect(): " + std::string(std::strerror(errno)));
-      }
-      pollfd waiter{fd, POLLOUT, 0};
-      const int ready = ::poll(&waiter, 1, timeout_ms_);
-      if (ready == 0) {
-        ::close(fd);
-        return Status::Timeout("connect(): timed out after " +
-                               std::to_string(timeout_ms_) + " ms");
-      }
-      int so_error = 0;
-      socklen_t len = sizeof(so_error);
-      if (ready < 0 ||
-          ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) < 0 || so_error != 0) {
-        ::close(fd);
-        return Status::Unavailable("connect(): " +
-                                   std::string(std::strerror(so_error != 0 ? so_error
-                                                                           : errno)));
-      }
+  TcpClient* client;
+  Request request;
+  std::string head;
+  Stage stage = Stage::kDelayed;
+  /// kDelayed: when to send. Later stages: when the socket counts as hung.
+  Clock::time_point wake;
+  int fd = -1;
+  bool reused = false;   // fd came from the pool
+  bool retried = false;  // the one stale-socket retry is spent
+  std::size_t sent = 0;
+  bool received_any = false;
+  WireParser parser{WireParser::Mode::kResponse};
+
+  bool has_deadline() const { return stage == Stage::kDelayed || client->timeout_ms_ > 0; }
+  void Progressed() {
+    if (client->timeout_ms_ > 0) {
+      wake = Clock::now() + std::chrono::milliseconds(client->timeout_ms_);
     }
-    ::fcntl(fd, F_SETFL, flags);
+  }
+  void Close() {
+    ::close(fd);
+    fd = -1;
+  }
+  /// Closes the socket of an exchange that made no progress for timeout_ms.
+  /// Never the stale path: the server may have executed the request, so
+  /// re-sending is RetryingClient's policy decision, not the pool's.
+  Status TimedOut() {
+    const char* call = stage == Stage::kConnecting ? "connect()"
+                       : stage == Stage::kSending  ? "sendmsg()"
+                                                   : "recv()";
+    Close();
+    return Status::Timeout(std::string(call) + ": timed out after " +
+                           std::to_string(client->timeout_ms_) + " ms");
+  }
+};
+
+void TcpClient::Connected(int fd) {
+  // Sockets block, bounded by timeout_ms: the batch asks for non-blocking
+  // calls with MSG_DONTWAIT, and its last exchange in flight simply waits.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
+  if (timeout_ms_ > 0) {
     timeval tv{};
     tv.tv_sec = timeout_ms_ / 1000;
     tv.tv_usec = (timeout_ms_ % 1000) * 1000;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  } else if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return Status::Unavailable("connect(): " + std::string(std::strerror(errno)));
   }
+  opened_.fetch_add(1, std::memory_order_relaxed);
+}
+
+Status TcpClient::Open(Leg& leg) {
+  leg.sent = 0;
+  leg.received_any = false;
+  leg.parser.Reset();
+  // A HEAD response advertises the GET's Content-Length but carries no body.
+  leg.parser.set_bodyless_response(leg.request.method == Method::kHead);
+  leg.fd = AcquirePooled();
+  leg.reused = leg.fd >= 0;
+  leg.Progressed();
+  if (leg.reused) {
+    reused_.fetch_add(1, std::memory_order_relaxed);
+    leg.stage = Leg::Stage::kSending;
+    return Status::Ok();
+  }
+  // Connect without blocking, so a slow connect holds up no other exchange.
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) return Status::Internal("socket(): " + std::string(std::strerror(errno)));
   const int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-  return fd;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port_);
+  leg.fd = fd;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    Connected(fd);
+    leg.stage = Leg::Stage::kSending;
+    return Status::Ok();
+  }
+  if (errno != EINPROGRESS) {
+    const int err = errno;
+    leg.Close();
+    return Status::Unavailable("connect(): " + std::string(std::strerror(err)));
+  }
+  leg.stage = Leg::Stage::kConnecting;
+  return Status::Ok();
 }
 
-Result<Response> TcpClient::Send(const Request& request) {
-  // Stale-connection retry-once: a pooled socket the server closed between
-  // requests (idle timeout, restart, max-requests cap) fails before any
-  // response byte arrives; one retry on a fresh connection is safe because
-  // the request was provably never processed.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    bool reused = false;
-    int fd = AcquirePooled();
-    if (fd >= 0) {
-      reused = true;
-      reused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      auto connected = Connect();
-      if (!connected.ok()) return connected.status();
-      fd = *connected;
-      opened_.fetch_add(1, std::memory_order_relaxed);
-    }
-    bool stale = false;
-    Result<Response> response = SendOnce(request, fd, reused, &stale);
-    if (stale && attempt == 0) continue;
-    return response;
+std::optional<Result<Response>> TcpClient::Advance(Leg& leg, short revents, bool alone) {
+  // A socket that fails before any response byte arrived is retried once on
+  // a fresh connection when it came from the pool: the server closed it
+  // between requests (idle timeout, restart, max-requests cap), so the
+  // request was provably never processed.
+  auto fail = [&](Status status, bool stale) -> std::optional<Result<Response>> {
+    leg.Close();
+    if (!stale || leg.retried) return Result<Response>(std::move(status));
+    leg.retried = true;
+    const Status reopened = Open(leg);
+    if (!reopened.ok()) return Result<Response>(reopened);
+    return Advance(leg, 0, alone);
+  };
+  // Alone, the exchange blocks in the kernel (bounded by the socket's
+  // timeouts); in company, a call that would block hands back to poll().
+  const int dontwait = alone ? 0 : MSG_DONTWAIT;
+  if (leg.stage == Leg::Stage::kDelayed) {
+    const Status opened = Open(leg);
+    if (!opened.ok()) return Result<Response>(opened);
   }
-  return Status::Unavailable("stale pooled connection (retry exhausted)");
-}
-
-Result<Response> TcpClient::SendOnce(const Request& request, int fd, bool reused_fd,
-                                     bool* stale) {
-  *stale = false;
-  Request to_send = request;
-  to_send.headers.Set("Host", "127.0.0.1:" + std::to_string(port_));
-  if (!strings::EqualsIgnoreCase(to_send.headers.GetOr("Connection", ""), "close")) {
-    to_send.headers.Set("Connection", keep_alive_ ? "keep-alive" : "close");
-  }
-  // Two-segment gather send: serialized head + body reference, no
-  // head-plus-body concatenation in user space.
-  const std::string head = SerializeRequestHead(to_send);
-  iovec iov[2];
-  iov[0].iov_base = const_cast<char*>(head.data());
-  iov[0].iov_len = head.size();
-  iov[1].iov_base = const_cast<char*>(to_send.body.data());
-  iov[1].iov_len = to_send.body.size();
-  std::size_t sent = 0;
-  const std::size_t total = head.size() + to_send.body.size();
-  while (sent < total) {
-    msghdr msg{};
-    if (sent < head.size()) {
-      iov[0].iov_base = const_cast<char*>(head.data() + sent);
-      iov[0].iov_len = head.size() - sent;
-      msg.msg_iov = iov;
-      msg.msg_iovlen = to_send.body.empty() ? 1 : 2;
-    } else {
-      iov[1].iov_base = const_cast<char*>(to_send.body.data() + (sent - head.size()));
-      iov[1].iov_len = to_send.body.size() - (sent - head.size());
-      msg.msg_iov = iov + 1;
-      msg.msg_iovlen = 1;
+  if (leg.stage == Leg::Stage::kConnecting) {
+    if ((revents & (POLLOUT | POLLERR | POLLHUP)) == 0) return std::nullopt;
+    int so_error = 0;
+    socklen_t len = sizeof(so_error);
+    if (::getsockopt(leg.fd, SOL_SOCKET, SO_ERROR, &so_error, &len) < 0) so_error = errno;
+    if (so_error != 0) {
+      return fail(Status::Unavailable("connect(): " + std::string(std::strerror(so_error))),
+                  false);
     }
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      ::close(fd);
-      *stale = reused_fd;
-      return Status::Unavailable("sendmsg(): " + std::string(std::strerror(errno)));
-    }
-    sent += static_cast<std::size_t>(n);
+    Connected(leg.fd);
+    leg.stage = Leg::Stage::kSending;
+    leg.Progressed();
   }
-
-  WireParser parser(WireParser::Mode::kResponse);
-  // A HEAD response advertises the GET's Content-Length but carries no body.
-  parser.set_bodyless_response(request.method == Method::kHead);
-  bool received_any = false;
-  while (!parser.HasMessage()) {
-    std::size_t cap = 0;
-    char* dst = parser.BeginFill(16384, &cap);
-    const ssize_t n = ::recv(fd, dst, cap, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const bool timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
-      ::close(fd);
-      if (timed_out) {
-        // Never the stale path: the server may have executed the request, so
-        // re-sending is RetryingClient's policy decision, not the pool's.
-        return Status::Timeout("recv(): timed out after " + std::to_string(timeout_ms_) +
-                               " ms");
+  if (leg.stage == Leg::Stage::kSending) {
+    // Two-segment gather send: serialized head + body reference, no
+    // head-plus-body concatenation in user space.
+    const std::string& head = leg.head;
+    const Body& body = leg.request.body;
+    const std::size_t total = head.size() + body.size();
+    while (leg.sent < total) {
+      iovec iov[2];
+      msghdr msg{};
+      if (leg.sent < head.size()) {
+        iov[0].iov_base = const_cast<char*>(head.data() + leg.sent);
+        iov[0].iov_len = head.size() - leg.sent;
+        iov[1].iov_base = const_cast<char*>(body.data());
+        iov[1].iov_len = body.size();
+        msg.msg_iov = iov;
+        msg.msg_iovlen = body.empty() ? 1 : 2;
+      } else {
+        iov[0].iov_base = const_cast<char*>(body.data() + (leg.sent - head.size()));
+        iov[0].iov_len = total - leg.sent;
+        msg.msg_iov = iov;
+        msg.msg_iovlen = 1;
       }
-      *stale = reused_fd && !received_any;
-      return Status::Unavailable("recv(): " + std::string(std::strerror(errno)));
+      const ssize_t n = ::sendmsg(leg.fd, &msg, MSG_NOSIGNAL | dontwait);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (alone) return Result<Response>(leg.TimedOut());
+        return std::nullopt;
+      }
+      if (n <= 0) {
+        return fail(Status::Unavailable("sendmsg(): " + std::string(std::strerror(errno))),
+                    leg.reused);
+      }
+      leg.sent += static_cast<std::size_t>(n);
+      leg.Progressed();
     }
-    if (n == 0) break;  // peer closed; parser may or may not hold a message
-    received_any = true;
-    parser.CommitFill(static_cast<std::size_t>(n));
+    leg.stage = Leg::Stage::kReceiving;
+    if (!alone) return std::nullopt;  // the response cannot be there yet
   }
-  if (!parser.HasMessage()) {
-    ::close(fd);
-    *stale = reused_fd && !received_any;
-    return Status::Unavailable("connection closed mid-response");
+  while (!leg.parser.HasMessage()) {
+    std::size_t cap = 0;
+    char* dst = leg.parser.BeginFill(16384, &cap);
+    const ssize_t n = ::recv(leg.fd, dst, cap, dontwait);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (alone) return Result<Response>(leg.TimedOut());
+      return std::nullopt;
+    }
+    if (n < 0) {
+      return fail(Status::Unavailable("recv(): " + std::string(std::strerror(errno))),
+                  leg.reused && !leg.received_any);
+    }
+    if (n == 0) {
+      return fail(Status::Unavailable("connection closed mid-response"),
+                  leg.reused && !leg.received_any);
+    }
+    leg.received_any = true;
+    leg.parser.CommitFill(static_cast<std::size_t>(n));
+    leg.Progressed();
   }
-  Result<Response> response = parser.TakeResponse();
+  Result<Response> response = leg.parser.TakeResponse();
   const bool server_close =
       !response.ok() ||
       strings::EqualsIgnoreCase(response->headers.GetOr("Connection", ""), "close");
-  if (keep_alive_ && !server_close && parser.buffered_bytes() == 0) {
-    Release(fd);  // healthy keep-alive exchange: park it for the next request
+  if (keep_alive_ && !server_close && leg.parser.buffered_bytes() == 0) {
+    Release(leg.fd);  // healthy keep-alive exchange: park it for the next request
+    leg.fd = -1;
   } else {
-    ::close(fd);
+    leg.Close();
   }
   return response;
+}
+
+void TcpClient::SendBatch(std::vector<Exchange> exchanges, const OnResponse& on_response) {
+  using Clock = Leg::Clock;
+  std::vector<Leg> legs;
+  legs.reserve(exchanges.size());
+  const Clock::time_point start = Clock::now();
+  for (Exchange& exchange : exchanges) {
+    Leg& leg = legs.emplace_back(exchange.client, std::move(exchange.request));
+    Request& request = leg.request;
+    request.headers.Set("Host", "127.0.0.1:" + std::to_string(leg.client->port_));
+    if (!strings::EqualsIgnoreCase(request.headers.GetOr("Connection", ""), "close")) {
+      request.headers.Set("Connection", leg.client->keep_alive_ ? "keep-alive" : "close");
+    }
+    leg.head = SerializeRequestHead(request);
+    leg.wake = start + std::chrono::milliseconds(exchange.delay_ms);
+  }
+  std::size_t pending = legs.size();
+  auto finish = [&](std::size_t i, Result<Response> response) {
+    legs[i].stage = Leg::Stage::kDone;
+    --pending;
+    on_response(i, std::move(response));
+  };
+  // The last exchange in flight blocks; the others hand back to poll().
+  auto advance = [&](std::size_t i, short revents) {
+    if (auto response = legs[i].client->Advance(legs[i], revents, pending == 1)) {
+      finish(i, std::move(*response));
+    }
+  };
+  std::vector<pollfd> fds;
+  std::vector<std::size_t> polled;  // leg index of each fds entry
+  while (pending > 0) {
+    fds.clear();
+    polled.clear();
+    const Clock::time_point now = Clock::now();
+    std::optional<Clock::time_point> next_wake;
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      Leg& leg = legs[i];
+      if (leg.stage == Leg::Stage::kDone) continue;
+      if (leg.has_deadline() && now >= leg.wake) {
+        if (leg.stage == Leg::Stage::kDelayed) {
+          advance(i, 0);
+        } else {
+          finish(i, leg.TimedOut());
+        }
+      } else if (pending == 1 && (leg.stage == Leg::Stage::kSending ||
+                                  leg.stage == Leg::Stage::kReceiving)) {
+        advance(i, 0);
+      }
+      if (leg.stage == Leg::Stage::kDone) continue;
+      // Asked again: a leg that just left kDelayed may have no deadline.
+      if (leg.has_deadline()) next_wake = next_wake ? std::min(*next_wake, leg.wake) : leg.wake;
+      if (leg.stage == Leg::Stage::kDelayed) continue;
+      const short events = leg.stage == Leg::Stage::kReceiving ? POLLIN : POLLOUT;
+      fds.push_back(pollfd{leg.fd, events, 0});
+      polled.push_back(i);
+    }
+    if (pending == 0) break;
+    int wait_ms = -1;
+    if (next_wake) {
+      wait_ms = static_cast<int>(
+          std::chrono::ceil<std::chrono::milliseconds>(*next_wake - now).count());
+      wait_ms = std::max(wait_ms, 0);
+    }
+    if (::poll(fds.data(), fds.size(), wait_ms) < 0) {
+      if (errno == EINTR) continue;
+      const Status failed = Status::Internal("poll(): " + std::string(std::strerror(errno)));
+      for (const std::size_t i : polled) {
+        legs[i].Close();
+        finish(i, failed);
+      }
+      continue;
+    }
+    for (std::size_t k = 0; k < fds.size(); ++k) {
+      if (fds[k].revents != 0) advance(polled[k], fds[k].revents);
+    }
+  }
+}
+
+Result<Response> TcpClient::Send(const Request& request) {
+  Result<Response> result = Status::Internal("no response");
+  std::vector<Exchange> exchange;
+  exchange.push_back(Exchange{this, request, 0});
+  SendBatch(std::move(exchange),
+            [&result](std::size_t, Result<Response> response) { result = std::move(response); });
+  return result;
 }
 
 }  // namespace ofmf::http

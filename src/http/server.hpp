@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -244,16 +245,36 @@ class TcpServer {
 /// an LRU of idle sockets to the endpoint is reused across Send() calls, so
 /// manager poll loops and agent calls skip the per-request connect/teardown.
 /// A reused socket the server has since closed (idle timeout, restart) is
-/// retried once on a fresh connection. Connect/send/recv are bounded by
-/// `timeout_ms` so a hung or half-dead server yields Status::Timeout instead
-/// of wedging the caller forever (0 disables the bound). Thread-safe: the
-/// pool is locked, and each in-flight request owns its socket exclusively.
+/// retried once on a fresh connection. A socket that makes no progress for
+/// `timeout_ms` (connect, send or receive) yields Status::Timeout instead of
+/// wedging the caller forever (0 disables the bound). Thread-safe: the pool
+/// is locked, and each in-flight request owns its socket exclusively.
 class TcpClient : public HttpClient {
  public:
   explicit TcpClient(std::uint16_t port, int timeout_ms = 30000)
       : port_(port), timeout_ms_(timeout_ms) {}
   ~TcpClient() override;
+  /// SendBatch with one exchange.
   Result<Response> Send(const Request& request) override;
+
+  /// One request of a SendBatch and the client whose pool carries it.
+  struct Exchange {
+    TcpClient* client = nullptr;
+    Request request;
+    /// Held back this long before it is sent (injected latency); the rest of
+    /// the batch proceeds meanwhile.
+    int delay_ms = 0;
+  };
+  using OnResponse = std::function<void(std::size_t index, Result<Response> response)>;
+
+  /// Writes every exchange's request on a pooled keep-alive socket of its
+  /// client and reads all the responses in one poll() loop on the calling
+  /// thread, handing each to `on_response` (with its index in `exchanges`)
+  /// as it completes. Every exchange keeps Send's contract: one retry on a
+  /// fresh connection when a pooled socket turns out stale, its client's
+  /// timeout_ms bound, and the socket parked in the pool after a clean
+  /// keep-alive exchange.
+  static void SendBatch(std::vector<Exchange> exchanges, const OnResponse& on_response);
 
   void set_timeout_ms(int timeout_ms) { timeout_ms_ = timeout_ms; }
   int timeout_ms() const { return timeout_ms_; }
@@ -269,11 +290,17 @@ class TcpClient : public HttpClient {
   static constexpr std::size_t kMaxPooledConnections = 8;
 
  private:
-  Result<int> Connect();
+  struct Leg;  // one exchange of a SendBatch in flight
+
   int AcquirePooled();
   void Release(int fd);
-  Result<Response> SendOnce(const Request& request, int fd, bool reused_fd,
-                            bool* stale);
+  /// Puts `leg` on a pooled socket, else starts a non-blocking connect.
+  Status Open(Leg& leg);
+  /// Makes a freshly connected socket blocking, bounded by timeout_ms.
+  void Connected(int fd);
+  /// Moves `leg` as far as its socket allows, without blocking unless it is
+  /// `alone` in flight; the result once the exchange is over.
+  std::optional<Result<Response>> Advance(Leg& leg, short revents, bool alone);
 
   std::uint16_t port_;
   int timeout_ms_;

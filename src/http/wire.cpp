@@ -1,6 +1,7 @@
 #include "http/wire.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 
@@ -335,9 +336,13 @@ Result<Response> WireParser::TakeResponse() {
     broken_ = true;
     return Status::InvalidArgument("malformed status line: " + std::string(start_line));
   }
+  // Exactly three ASCII digits: no sign, no padding, nothing trailing.
+  const std::string& code = parts[1];
   Response response;
-  response.status = std::atoi(parts[1].c_str());
-  if (response.status < 100 || response.status > 599) {
+  if (code.size() != 3 || !strings::IsDigits(code) ||
+      std::from_chars(code.data(), code.data() + code.size(), response.status).ec !=
+          std::errc() ||
+      response.status < 100 || response.status > 599) {
     broken_ = true;
     return Status::InvalidArgument("bad status code: " + parts[1]);
   }

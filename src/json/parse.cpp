@@ -12,6 +12,8 @@ namespace {
 
 // Each value is built in the slot its parent already holds (array element,
 // object member, or the document), so nothing is moved on the way back up.
+// A null slot checks the value without building it: ParseRaw runs the same
+// grammar that way.
 class Parser {
  public:
   Parser(std::string_view text, const ParseOptions& options)
@@ -20,10 +22,24 @@ class Parser {
   Result<Json> Run() {
     Json value;
     SkipWhitespace();
-    OFMF_RETURN_IF_ERROR(ParseValue(0, value));
-    SkipWhitespace();
-    if (pos_ != text_.size()) return Error("trailing characters after document");
+    OFMF_RETURN_IF_ERROR(ParseValue(0, &value));
+    OFMF_RETURN_IF_ERROR(ExpectEnd());
     return value;
+  }
+
+  Result<RawDocument> RunRaw() {
+    RawDocument doc;
+    SkipWhitespace();
+    if (const char* error = EntryError(0)) return Error(error);
+    if (Peek() == '{') {
+      doc.is_object = true;
+      OFMF_RETURN_IF_ERROR(
+          ParseMembers([&](std::string& key) { return ParseRawMember(doc, key); }));
+    } else {
+      OFMF_RETURN_IF_ERROR(ParseValue(0, nullptr));
+    }
+    OFMF_RETURN_IF_ERROR(ExpectEnd());
+    return doc;
   }
 
  private:
@@ -46,6 +62,12 @@ class Parser {
     }
   }
 
+  Status ExpectEnd() {
+    SkipWhitespace();
+    if (pos_ != text_.size()) return Error("trailing characters after document");
+    return Status::Ok();
+  }
+
   bool Consume(char expected) {
     if (AtEnd() || Peek() != expected) return false;
     ++pos_;
@@ -58,52 +80,58 @@ class Parser {
     return true;
   }
 
-  Status ParseValue(std::size_t depth, Json& out) {
-    if (depth > options_.max_depth) return Error("maximum nesting depth exceeded");
-    if (AtEnd()) return Error("unexpected end of input");
+  /// What every value is checked for first; null when it may start here.
+  const char* EntryError(std::size_t depth) const {
+    if (depth > options_.max_depth) return "maximum nesting depth exceeded";
+    if (AtEnd()) return "unexpected end of input";
+    return nullptr;
+  }
+
+  Status ParseValue(std::size_t depth, Json* out) {
+    if (const char* error = EntryError(depth)) return Error(error);
     switch (Peek()) {
       case '{': return ParseObject(depth, out);
       case '[': return ParseArray(depth, out);
       case '"': {
+        if (out == nullptr) return ParseString(nullptr);
         std::string s;
-        OFMF_RETURN_IF_ERROR(ParseString(s));
-        out = Json(std::move(s));
+        OFMF_RETURN_IF_ERROR(ParseString(&s));
+        *out = Json(std::move(s));
         return Status::Ok();
       }
       case 't':
         if (!ConsumeLiteral("true")) return Error("invalid literal");
-        out = Json(true);
+        if (out != nullptr) *out = Json(true);
         return Status::Ok();
       case 'f':
         if (!ConsumeLiteral("false")) return Error("invalid literal");
-        out = Json(false);
+        if (out != nullptr) *out = Json(false);
         return Status::Ok();
       case 'n':
         if (!ConsumeLiteral("null")) return Error("invalid literal");
-        out = Json(nullptr);
+        if (out != nullptr) *out = Json(nullptr);
         return Status::Ok();
       default:
         return ParseNumber(out);
     }
   }
 
-  Status ParseObject(std::size_t depth, Json& out) {
+  /// The object grammar; `on_member(key)` parses each member's value and
+  /// may take the key.
+  template <typename OnMember>
+  Status ParseMembers(OnMember&& on_member) {
     Consume('{');
-    out = Json::MakeObject();
-    Object& obj = out.as_object();
     SkipWhitespace();
     if (Consume('}')) return Status::Ok();
     while (true) {
       SkipWhitespace();
       if (AtEnd() || Peek() != '"') return Error("expected object key string");
       std::string key;
-      OFMF_RETURN_IF_ERROR(ParseString(key));
+      OFMF_RETURN_IF_ERROR(ParseString(&key));
       SkipWhitespace();
       if (!Consume(':')) return Error("expected ':' after object key");
       SkipWhitespace();
-      // A duplicate key reuses the first key's slot, so the last value wins
-      // at the first key's position, exactly as Object::Set does.
-      OFMF_RETURN_IF_ERROR(ParseValue(depth + 1, obj.Set(std::move(key), Json())));
+      OFMF_RETURN_IF_ERROR(on_member(key));
       SkipWhitespace();
       if (Consume(',')) continue;
       if (Consume('}')) return Status::Ok();
@@ -111,15 +139,15 @@ class Parser {
     }
   }
 
-  Status ParseArray(std::size_t depth, Json& out) {
+  /// The array grammar; `on_element()` parses each element.
+  template <typename OnElement>
+  Status ParseElements(OnElement&& on_element) {
     Consume('[');
-    out = Json::MakeArray();
-    Array& arr = out.as_array();
     SkipWhitespace();
     if (Consume(']')) return Status::Ok();
     while (true) {
       SkipWhitespace();
-      OFMF_RETURN_IF_ERROR(ParseValue(depth + 1, arr.emplace_back()));
+      OFMF_RETURN_IF_ERROR(on_element());
       SkipWhitespace();
       if (Consume(',')) continue;
       if (Consume(']')) return Status::Ok();
@@ -127,13 +155,64 @@ class Parser {
     }
   }
 
-  Status ParseString(std::string& out) {
+  Status ParseObject(std::size_t depth, Json* out) {
+    if (out == nullptr) {
+      return ParseMembers([&](std::string&) { return ParseValue(depth + 1, nullptr); });
+    }
+    *out = Json::MakeObject();
+    Object& obj = out->as_object();
+    // A duplicate key reuses the first key's slot, so the last value wins
+    // at the first key's position, exactly as Object::Set does.
+    return ParseMembers([&](std::string& key) {
+      return ParseValue(depth + 1, &obj.Set(std::move(key), Json()));
+    });
+  }
+
+  Status ParseArray(std::size_t depth, Json* out) {
+    if (out == nullptr) {
+      return ParseElements([&] { return ParseValue(depth + 1, nullptr); });
+    }
+    *out = Json::MakeArray();
+    Array& arr = out->as_array();
+    return ParseElements([&] { return ParseValue(depth + 1, &arr.emplace_back()); });
+  }
+
+  /// Checks one member of ParseRaw's top-level object and records its value,
+  /// and each element of an array value, as source bytes.
+  Status ParseRawMember(RawDocument& doc, std::string& key) {
+    RawMember* member = nullptr;
+    for (RawMember& seen : doc.members) {
+      if (seen.key == key) member = &seen;
+    }
+    if (member == nullptr) {
+      member = &doc.members.emplace_back();
+      member->key = std::move(key);
+    }
+    member->elements.clear();
+    const std::size_t start = pos_;
+    if (const char* error = EntryError(1)) return Error(error);
+    if (Peek() == '[') {
+      OFMF_RETURN_IF_ERROR(ParseElements([&] {
+        const std::size_t element = pos_;
+        const Status status = ParseValue(2, nullptr);
+        member->elements.push_back(text_.substr(element, pos_ - element));
+        return status;
+      }));
+    } else {
+      OFMF_RETURN_IF_ERROR(ParseValue(1, nullptr));
+    }
+    member->value = text_.substr(start, pos_ - start);
+    return Status::Ok();
+  }
+
+  /// Decodes into `out`, or only checks the string when `out` is null.
+  Status ParseString(std::string* out) {
     Consume('"');
     while (true) {
       // Copy the run of plain bytes up to the next quote, backslash or
       // control byte in one append.
       const std::size_t run = internal::PlainRunLength(text_.substr(pos_));
-      out.append(text_.data() + pos_, run);
+      if (out != nullptr) out->append(text_.data() + pos_, run);
       pos_ += run;
       if (AtEnd()) return Error("unterminated string");
       const char c = text_[pos_++];
@@ -141,15 +220,16 @@ class Parser {
       if (c != '\\') return Error("raw control character in string");
       if (AtEnd()) return Error("unterminated escape");
       const char esc = text_[pos_++];
+      char decoded = 0;
       switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
+        case '"': decoded = '"'; break;
+        case '\\': decoded = '\\'; break;
+        case '/': decoded = '/'; break;
+        case 'b': decoded = '\b'; break;
+        case 'f': decoded = '\f'; break;
+        case 'n': decoded = '\n'; break;
+        case 'r': decoded = '\r'; break;
+        case 't': decoded = '\t'; break;
         case 'u': {
           OFMF_ASSIGN_OR_RETURN(unsigned cp, ParseHex4());
           // Surrogate pairs.
@@ -161,11 +241,12 @@ class Parser {
           } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
             return Error("unpaired low surrogate");
           }
-          AppendUtf8(out, cp);
-          break;
+          if (out != nullptr) AppendUtf8(*out, cp);
+          continue;
         }
         default: return Error("invalid escape character");
       }
+      if (out != nullptr) out->push_back(decoded);
     }
   }
 
@@ -201,7 +282,7 @@ class Parser {
     }
   }
 
-  Status ParseNumber(Json& out) {
+  Status ParseNumber(Json* out) {
     const std::size_t start = pos_;
     if (!AtEnd() && Peek() == '-') ++pos_;
     if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
@@ -240,14 +321,14 @@ class Parser {
       const auto [ptr, ec] =
           std::from_chars(token.data(), token.data() + token.size(), value);
       if (ec == std::errc() && ptr == token.data() + token.size()) {
-        out = Json(value);
+        if (out != nullptr) *out = Json(value);
         return Status::Ok();
       }
       // Fall through: out-of-range integers become doubles.
     }
     const double value = std::strtod(std::string(token).c_str(), nullptr);
     if (std::isinf(value)) return Error("number out of range");
-    out = Json(value);
+    if (out != nullptr) *out = Json(value);
     return Status::Ok();
   }
 
@@ -260,6 +341,17 @@ class Parser {
 
 Result<Json> Parse(std::string_view text, const ParseOptions& options) {
   return Parser(text, options).Run();
+}
+
+const RawMember* RawDocument::Find(std::string_view key) const {
+  for (const RawMember& member : members) {
+    if (member.key == key) return &member;
+  }
+  return nullptr;
+}
+
+Result<RawDocument> ParseRaw(std::string_view text, const ParseOptions& options) {
+  return Parser(text, options).RunRaw();
 }
 
 }  // namespace ofmf::json

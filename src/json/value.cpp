@@ -110,10 +110,7 @@ std::string Json::GetString(std::string_view key, std::string fallback) const {
 }
 
 std::int64_t Json::GetInt(std::string_view key, std::int64_t fallback) const {
-  const Json& v = at(key);
-  if (v.is_int()) return v.as_int();
-  if (v.is_double()) return static_cast<std::int64_t>(v.as_double());
-  return fallback;
+  return IntOr(at(key), fallback);
 }
 
 double Json::GetDouble(std::string_view key, double fallback) const {
@@ -125,6 +122,17 @@ double Json::GetDouble(std::string_view key, double fallback) const {
 bool Json::GetBool(std::string_view key, bool fallback) const {
   const Json& v = at(key);
   if (v.is_bool()) return v.as_bool();
+  return fallback;
+}
+
+std::int64_t IntOr(const Json& value, std::int64_t fallback) {
+  if (value.is_int()) return value.as_int();
+  if (value.is_double()) {
+    // Converting a double outside [-2^63, 2^63) (or NaN) to int64 is
+    // undefined behaviour; such a value is as unusable as a missing one.
+    const double d = value.as_double();
+    if (d >= -0x1p63 && d < 0x1p63) return static_cast<std::int64_t>(d);
+  }
   return fallback;
 }
 

@@ -108,6 +108,10 @@ class Json {
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> data_;
 };
 
+/// `value` as an int64: an int as is, a double truncated toward zero when it
+/// lies in [-2^63, 2^63), anything else `fallback`. Json::GetInt's rule.
+std::int64_t IntOr(const Json& value, std::int64_t fallback);
+
 /// The canonical shared null (returned by at() for missing members).
 const Json& NullJson();
 

@@ -6,12 +6,21 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <fstream>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/faults.hpp"
@@ -24,6 +33,7 @@
 #include "http/server.hpp"
 #include "json/parse.hpp"
 #include "json/pointer.hpp"
+#include "json/serialize.hpp"
 #include "ofmf/service.hpp"
 #include "ofmf/uris.hpp"
 
@@ -177,7 +187,8 @@ class FederationFixture : public ::testing::Test {
     http::TcpServer server;
   };
 
-  void StartShards(int count, int blocks_per_shard) {
+  void StartShards(int count, int blocks_per_shard,
+                   const http::ServerOptions& options = http::ServerOptions()) {
     for (int s = 0; s < count; ++s) {
       auto shard = std::make_unique<Shard>();
       shard->id = "s" + std::to_string(s + 1);
@@ -191,7 +202,7 @@ class FederationFixture : public ::testing::Test {
         block.memory_gib = 32;
         ASSERT_TRUE(shard->service.composition().RegisterBlock(block).ok());
       }
-      ASSERT_TRUE(shard->server.Start(shard->service.Handler(), 0).ok());
+      ASSERT_TRUE(shard->server.Start(shard->service.Handler(), 0, options).ok());
       directory_.Register(shard->id, shard->server.port());
       shards_.push_back(std::move(shard));
     }
@@ -659,6 +670,19 @@ TEST_F(FederationFixture, FleetTelemetryMergesShardDumpsAndServesHealth) {
   GetJson(std::string(core::kMetricReports) + "/NoSuchReport", 404);
 }
 
+// A port that is a double past the int64 range is as invalid as a missing
+// one (converting it to an integer would be undefined behaviour).
+TEST(DirectoryTest, RegisterWithOutOfRangePortAnswers400) {
+  DirectoryService directory;
+  http::InProcessClient client(directory.Handler());
+  auto response = client.Send(http::MakeJsonRequest(
+      http::Method::kPost, federation::kDirectoryShardsPath,
+      Json::Obj({{"ShardId", "s9"}, {"Port", 1e300}})));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status, 400) << response->body.view();
+  EXPECT_TRUE(directory.Table().shards.empty());
+}
+
 TEST(DirectoryTest, HeartbeatCarriesOptionalStatsIntoTable) {
   DirectoryService directory;
   directory.Register("s1", 8081);
@@ -672,6 +696,480 @@ TEST(DirectoryTest, HeartbeatCarriesOptionalStatsIntoTable) {
   const auto parsed = RoutingTable::FromJson(table.ToJson());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->Find("s1")->stats.GetInt("BreakersOpen"), 2);
+}
+
+// ----------------------------------------- batched legs + member splice --
+
+using Clock = std::chrono::steady_clock;
+
+long long MillisSince(Clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - start).count();
+}
+
+Json BlockRef(const std::string& id) {
+  return Json::Obj({{"@odata.id", std::string(core::kResourceBlocks) + "/" + id}});
+}
+
+/// A shard that serves one crafted ResourceBlocks collection over TCP, paged
+/// with $skip/$top like a real shard and written by json::Serialize, and
+/// logs every body it served so a test can redo the DOM merge from them.
+struct PageShard {
+  struct Served {
+    std::string target;
+    std::string body;
+  };
+
+  http::TcpServer server;
+
+  void Configure(Json envelope, std::vector<Json> members, bool with_count = true) {
+    std::lock_guard<std::mutex> lock(mu_);
+    envelope_ = std::move(envelope);
+    members_ = std::move(members);
+    with_count_ = with_count;
+    raw_body_.clear();
+  }
+  /// Serves `body` verbatim from now on.
+  void ServeRaw(std::string body) {
+    std::lock_guard<std::mutex> lock(mu_);
+    raw_body_ = std::move(body);
+  }
+  void set_sleep_ms(int ms) {
+    std::lock_guard<std::mutex> lock(mu_);
+    sleep_ms_ = ms;
+  }
+  std::vector<Served> TakeServed() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(served_, {});
+  }
+
+  http::Response Serve(const http::Request& request) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (sleep_ms_ > 0) {
+      const int sleep_ms = sleep_ms_;
+      lock.unlock();
+      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+      lock.lock();
+    }
+    std::string body = raw_body_;
+    if (body.empty()) {
+      auto option = [&](const char* name, std::size_t fallback) {
+        const auto it = request.query.find(name);
+        return it == request.query.end() ? fallback
+                                         : static_cast<std::size_t>(std::stoull(it->second));
+      };
+      const std::size_t skip = std::min(members_.size(), option("$skip", 0));
+      const std::size_t top = std::min(members_.size() - skip, option("$top", members_.size()));
+      const auto first = members_.begin() + static_cast<std::ptrdiff_t>(skip);
+      Json doc = envelope_;
+      doc["Members"] = Json(json::Array(first, first + static_cast<std::ptrdiff_t>(top)));
+      if (with_count_) doc["Members@odata.count"] = Json(members_.size());
+      body = json::Serialize(doc);
+    }
+    served_.push_back({request.target, body});
+    http::Response response;
+    response.body = body;
+    response.headers.Set("Content-Type", "application/json");
+    return response;
+  }
+
+ private:
+  std::mutex mu_;
+  Json envelope_ = Json::MakeObject();
+  std::vector<Json> members_;
+  bool with_count_ = true;
+  std::string raw_body_;
+  int sleep_ms_ = 0;
+  std::vector<Served> served_;
+};
+
+/// A TCP peer that answers every request with one fixed reply and closes.
+class FixedReplyPeer {
+ public:
+  explicit FixedReplyPeer(std::string reply) : reply_(std::move(reply)) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+        ::listen(listen_fd_, 16) == 0 &&
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      port_ = ntohs(addr.sin_port);
+    }
+    thread_ = std::thread([this] { AcceptLoop(); });
+  }
+  FixedReplyPeer(const FixedReplyPeer&) = delete;
+  FixedReplyPeer& operator=(const FixedReplyPeer&) = delete;
+  ~FixedReplyPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes accept()
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  std::uint16_t port() const { return port_; }
+
+ private:
+  void AcceptLoop() {
+    while (true) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      std::string head;
+      char buffer[4096];
+      while (head.find("\r\n\r\n") == std::string::npos) {
+        const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+        if (n <= 0) break;
+        head.append(buffer, static_cast<std::size_t>(n));
+      }
+      (void)::send(fd, reply_.data(), reply_.size(), MSG_NOSIGNAL);
+      ::close(fd);
+    }
+  }
+
+  std::string reply_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+/// The merge the router made before it spliced member bytes: the first full
+/// page's DOM is the envelope, every full page's Members are appended, the
+/// count is the sum of every page's count, and the result is serialized.
+std::string DomMerge(const std::vector<PageShard::Served>& pages, const std::string& next_link,
+                     long long omitted_members, const std::vector<std::string>& degraded) {
+  Json merged;
+  json::Array members;
+  long long total = 0;
+  for (const PageShard::Served& page : pages) {
+    auto doc = json::Parse(page.body);
+    EXPECT_TRUE(doc.ok() && doc->is_object()) << page.body;
+    if (!doc.ok()) continue;
+    const Json& page_members = doc->at("Members");
+    total += doc->GetInt("Members@odata.count",
+                         page_members.is_array()
+                             ? static_cast<long long>(page_members.as_array().size())
+                             : 0);
+    if (page.target.find("$top=0") != std::string::npos) continue;  // count only
+    if (page_members.is_array()) {
+      members.insert(members.end(), page_members.as_array().begin(),
+                     page_members.as_array().end());
+    }
+    if (merged.is_null()) merged = std::move(doc.value());
+  }
+  if (merged.is_null()) {
+    merged = Json::Obj({{"@odata.id", core::kResourceBlocks},
+                        {"Name", "Federated collection"},
+                        {"Members", Json::MakeArray()}});
+  }
+  json::Object& obj = merged.as_object();
+  obj.Set("Members", Json(std::move(members)));
+  obj.Set("Members@odata.count", total);
+  obj.Erase("@odata.etag");
+  obj.Erase("@odata.nextLink");
+  if (!next_link.empty()) obj.Set("@odata.nextLink", next_link);
+  if (!degraded.empty()) {
+    Json& oem = merged["Oem"];
+    if (!oem.is_object()) oem = Json::MakeObject();
+    Json& ofmf = oem["Ofmf"];
+    if (!ofmf.is_object()) ofmf = Json::MakeObject();
+    ofmf.as_object().Set("MembersOmittedCount", omitted_members);
+    json::Array ids;
+    for (const std::string& id : degraded) ids.push_back(Json(id));
+    ofmf.as_object().Set("DegradedShards", Json(std::move(ids)));
+  }
+  return json::Serialize(merged);
+}
+
+int ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+class SpliceFixture : public ::testing::Test {
+ protected:
+  PageShard& AddShard(const std::string& id) {
+    auto shard = std::make_unique<PageShard>();
+    PageShard* raw = shard.get();
+    EXPECT_TRUE(
+        shard->server.Start([raw](const http::Request& request) { return raw->Serve(request); }, 0)
+            .ok());
+    directory_.Register(id, shard->server.port());
+    shards_.push_back(std::move(shard));
+    return *raw;
+  }
+
+  void StartRouter() {
+    router_ = std::make_unique<FederationRouter>(std::make_shared<DirectoryClient>(
+        std::make_unique<http::InProcessClient>(directory_.Handler()),
+        /*max_age_ms=*/0));
+    router_->set_fault_injector(faults_);
+  }
+
+  void TearDown() override {
+    for (auto& shard : shards_) shard->server.Stop();
+  }
+
+  http::Response Get(const std::string& target) {
+    return router_->Route(http::MakeRequest(http::Method::kGet, target));
+  }
+
+  /// Every page the shards served since the last call, in shard order.
+  std::vector<PageShard::Served> TakeServed() {
+    std::vector<PageShard::Served> pages;
+    for (auto& shard : shards_) {
+      for (auto& page : shard->TakeServed()) pages.push_back(std::move(page));
+    }
+    return pages;
+  }
+
+  DirectoryService directory_;
+  std::shared_ptr<FaultInjector> faults_ = std::make_shared<FaultInjector>(2026);
+  std::vector<std::unique_ptr<PageShard>> shards_;
+  std::unique_ptr<FederationRouter> router_;
+};
+
+Json Envelope() {
+  return Json::Obj({{"@odata.type", "#ResourceBlockCollection.ResourceBlockCollection"},
+                    {"@odata.id", core::kResourceBlocks},
+                    {"Name", "Resource Block Collection"}});
+}
+
+TEST_F(SpliceFixture, MergedBodyIsByteIdenticalToTheDomMerge) {
+  // s1 is the envelope: its count sits before Members, it carries a
+  // shard-local etag and nextLink, an escaped description and an Oem, and its
+  // member ids need escaping or are not ASCII.
+  Json first = Json::Obj({{"@odata.type", "#ResourceBlockCollection.ResourceBlockCollection"},
+                          {"@odata.id", core::kResourceBlocks},
+                          {"Members@odata.count", 0},
+                          {"Name", "Resource Block Collection"},
+                          {"Members", Json::MakeArray()},
+                          {"@odata.etag", "W/\"7\""},
+                          {"@odata.nextLink", "/shard-local?$skip=2"},
+                          {"Description", "tab\there \"quoted\" \\ \xc3\xbc\x01"},
+                          {"Oem", Json::Obj({{"Vendor", Json::Obj({{"Tag", "x"}})}})}});
+  AddShard("s1").Configure(first, {BlockRef("q\"uote"), BlockRef("back\\slash"),
+                                   BlockRef("ctl\x01x"), BlockRef("nl\nx"),
+                                   BlockRef("\xc3\xbc" "ber-\xe6\x97\xa5\xe6\x9c\xac"),
+                                   BlockRef("slash/x")});
+  AddShard("s2").Configure(Envelope(), {});  // an empty shard
+  AddShard("s3").Configure(Envelope(), {BlockRef("s3-a"), BlockRef("s3-b")},
+                           /*with_count=*/false);
+  AddShard("s4").Configure(Json::Obj({{"Name", "other envelope"}}),
+                           {BlockRef("s4-a"), BlockRef("s4-b"), BlockRef("s4-c")});
+  StartRouter();
+
+  const http::Response merged = Get(core::kResourceBlocks);
+  ASSERT_EQ(merged.status, 200) << merged.body.view();
+  EXPECT_EQ(merged.body.view(), DomMerge(TakeServed(), "", 0, {}));
+  auto doc = json::Parse(merged.body.view());
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->GetInt("Members@odata.count"), 11);
+  EXPECT_EQ(doc->at("Members").as_array().size(), 11u);
+
+  // Degraded, with an envelope Oem: the annotation joins it in place.
+  faults_->ArmProbability("federation.shard.s4", FaultKind::kDropConnection, 1.0);
+  const http::Response with_oem = Get(core::kResourceBlocks);
+  ASSERT_EQ(with_oem.status, 200);
+  EXPECT_EQ(with_oem.body.view(), DomMerge(TakeServed(), "", 3, {"s4"}));
+  faults_->Disarm("federation.shard.s4");
+
+  // Degraded, without one: the annotation is appended.
+  first.as_object().Erase("Oem");
+  shards_[0]->Configure(first, {BlockRef("only")});
+  faults_->ArmProbability("federation.shard.s3", FaultKind::kDropConnection, 1.0);
+  const http::Response without_oem = Get(core::kResourceBlocks);
+  ASSERT_EQ(without_oem.status, 200);
+  EXPECT_EQ(without_oem.body.view(), DomMerge(TakeServed(), "", 2, {"s3"}));
+}
+
+TEST_F(SpliceFixture, PageWalkIsByteIdenticalToTheDomMerge) {
+  AddShard("s1").Configure(Envelope(), {BlockRef("a\"1"), BlockRef("a2"), BlockRef("a3")});
+  AddShard("s2").Configure(Envelope(), {});
+  AddShard("s3").Configure(Envelope(), {BlockRef("c1"), BlockRef("c2")});
+  AddShard("s4").Configure(Envelope(), {BlockRef("d1"), BlockRef("d\xc3\xa9")});
+  StartRouter();
+
+  std::string target = std::string(core::kResourceBlocks) + "?$top=2";
+  std::set<std::string> walked;
+  for (int page = 0; !target.empty() && page < 10; ++page) {
+    const http::Response response = Get(target);
+    ASSERT_EQ(response.status, 200) << target << ": " << response.body.view();
+    auto doc = json::Parse(response.body.view());
+    ASSERT_TRUE(doc.ok());
+    const std::string next = doc->GetString("@odata.nextLink");
+    EXPECT_EQ(response.body.view(), DomMerge(TakeServed(), next, 0, {})) << target;
+    for (const Json& member : doc->at("Members").as_array()) {
+      walked.insert(member.GetString("@odata.id"));
+    }
+    if (!next.empty()) {
+      EXPECT_THAT(next, HasSubstr("$fedskip="));
+    }
+    target = next;
+  }
+  EXPECT_TRUE(target.empty()) << "the walk must end";
+  EXPECT_EQ(walked.size(), 7u);
+}
+
+// A page json::Serialize did not write (whitespace, escapes it would not
+// use, repeated keys, a count written as a double) merges to the document
+// the DOM merge gives, member order included.
+TEST_F(SpliceFixture, OtherValidPagesMergeToTheSameDocument) {
+  AddShard("s1").ServeRaw(
+      " {\"@odata.id\" : \"\\/redfish\\/v1\\/CompositionService\\/ResourceBlocks\",\n"
+      "  \"Members\": [ {\"@odata.id\": \"\\u0061\"} ,{\"@odata.id\":\"b\", \"@odata.id\":\"b2\"}],\n"
+      "  \"Name\": \"x\", \"Name\": \"y\", \"Members@odata.count\": 2.0e0 } ");
+  AddShard("s2").Configure(Envelope(), {BlockRef("c")});
+  StartRouter();
+  const http::Response merged = Get(core::kResourceBlocks);
+  ASSERT_EQ(merged.status, 200) << merged.body.view();
+  auto doc = json::Parse(merged.body.view());
+  ASSERT_TRUE(doc.ok()) << merged.body.view();
+  EXPECT_EQ(json::Serialize(*doc), DomMerge(TakeServed(), "", 0, {}));
+  EXPECT_EQ(doc->GetInt("Members@odata.count"), 3);
+}
+
+// A count that is not an int64 counts as missing: the page is counted by its
+// members, and the merged count stays exact.
+TEST_F(SpliceFixture, OutOfRangeCountIsCountedByMembers) {
+  AddShard("s1").ServeRaw(
+      R"({"@odata.id":"/redfish/v1/CompositionService/ResourceBlocks",)"
+      R"("Members":[{"@odata.id":"a"},{"@odata.id":"b"}],"Members@odata.count":1e300})");
+  AddShard("s2").Configure(Envelope(), {BlockRef("c"), BlockRef("d"), BlockRef("e")});
+  StartRouter();
+  const http::Response merged = Get(core::kResourceBlocks);
+  ASSERT_EQ(merged.status, 200) << merged.body.view();
+  auto doc = json::Parse(merged.body.view());
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->GetInt("Members@odata.count"), 5);
+  EXPECT_EQ(merged.body.view(), DomMerge(TakeServed(), "", 0, {}));
+}
+
+// The legs overlap on the router's one thread: two shards that each take
+// 200 ms cost about 200 ms together, not the 400 ms of their sum.
+TEST_F(SpliceFixture, SlowShardsOverlapInsteadOfAddingUp) {
+  for (const char* id : {"s1", "s2", "s3", "s4"}) {
+    AddShard(id).Configure(Envelope(), {BlockRef(std::string(id) + "-a"),
+                                        BlockRef(std::string(id) + "-b")});
+  }
+  shards_[1]->set_sleep_ms(200);
+  shards_[3]->set_sleep_ms(200);
+  StartRouter();
+  const auto start = Clock::now();
+  const http::Response merged = Get(core::kResourceBlocks);
+  const long long elapsed_ms = MillisSince(start);
+  ASSERT_EQ(merged.status, 200) << merged.body.view();
+  auto doc = json::Parse(merged.body.view());
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->at("Members").as_array().size(), 8u);
+  EXPECT_GE(elapsed_ms, 200);
+  EXPECT_LT(elapsed_ms, 380) << "slow legs must overlap";
+}
+
+// A page the JSON grammar rejects, a page that is not an object, and an
+// answer whose status line does not parse are each omitted with the
+// degraded annotation, and the router keeps serving.
+TEST_F(SpliceFixture, MalformedShardAnswersAreOmittedAsDegraded) {
+  AddShard("s1").Configure(Envelope(), {BlockRef("a1"), BlockRef("a2")});
+  AddShard("s2").Configure(Envelope(), {BlockRef("b1")});
+  AddShard("s3").Configure(Envelope(), {BlockRef("c1")});
+  FixedReplyPeer bad_status("HTTP/1.1 200abc OK\r\nContent-Type: application/json\r\n"
+                            "Content-Length: 2\r\n\r\n{}");
+  directory_.Register("s4", bad_status.port());
+  StartRouter();
+
+  shards_[1]->ServeRaw(R"({"@odata.id":"x","Members":[{"@odata.id":"b1"})");  // truncated
+  shards_[2]->ServeRaw("[1,2]");                                               // not an object
+  const Json degraded = *json::Parse(Get(core::kResourceBlocks).body.view());
+  EXPECT_EQ(degraded.GetInt("Members@odata.count"), 2);
+  EXPECT_EQ(degraded.at("Members").as_array().size(), 2u);
+  const Json* shards = json::ResolvePointerRef(degraded, "/Oem/Ofmf/DegradedShards");
+  ASSERT_NE(shards, nullptr);
+  EXPECT_EQ(json::Serialize(*shards), R"(["s2","s3","s4"])");
+
+  shards_[1]->Configure(Envelope(), {BlockRef("b1")});
+  shards_[2]->Configure(Envelope(), {BlockRef("c1")});
+  const Json healed = *json::Parse(Get(core::kResourceBlocks).body.view());
+  EXPECT_EQ(healed.GetInt("Members@odata.count"), 4);
+  EXPECT_EQ(json::Serialize(*json::ResolvePointerRef(healed, "/Oem/Ofmf/DegradedShards")),
+            R"(["s4"])");
+}
+
+// Shards reap idle keep-alive sockets after 50 ms, so every GET after a
+// 200 ms pause finds the router's pooled sockets closed; the batch retries
+// them on fresh connections and every GET still answers in full.
+TEST_F(FederationFixture, PooledSocketsClosedByShardsAreRetried) {
+  http::ServerOptions options;
+  options.idle_timeout_ms = 50;
+  StartShards(4, 2, options);
+  for (int round = 0; round < 4; ++round) {
+    if (round > 0) std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const Json merged = GetJson(core::kResourceBlocks);
+    EXPECT_EQ(merged.GetInt("Members@odata.count"), 8) << round;
+    EXPECT_EQ(Members(merged).size(), 8u) << round;
+    EXPECT_EQ(json::ResolvePointerRef(merged, "/Oem/Ofmf/DegradedShards"), nullptr) << round;
+  }
+  std::uint64_t idle_closed = 0;
+  for (const auto& shard : shards_) idle_closed += shard->server.stats().idle_closed;
+  EXPECT_GE(idle_closed, 4u) << "the shards must have closed pooled sockets";
+}
+
+// The scatter-gather and the fleet metrics gather start no threads.
+TEST_F(FederationFixture, GathersDoNotAddThreads) {
+  StartShards(4, 2);
+  const std::string dump_target =
+      std::string(core::kServiceRoot) + "/Actions/OfmfService.MetricsDump";
+  (void)GetJson(core::kResourceBlocks);
+  ASSERT_EQ(Route(http::MakeRequest(http::Method::kPost, dump_target)).status, 200);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> peak{0};
+  std::thread sampler([&] {
+    while (!done.load()) peak.store(std::max(peak.load(), ThreadCount()));
+  });
+  while (peak.load() == 0) std::this_thread::yield();
+  const int baseline = ThreadCount();
+  for (int i = 0; i < 100; ++i) {
+    const http::Response merged =
+        Route(http::MakeRequest(http::Method::kGet, core::kResourceBlocks));
+    ASSERT_EQ(merged.status, 200);
+  }
+  ASSERT_EQ(Route(http::MakeRequest(http::Method::kPost, dump_target)).status, 200);
+  done.store(true);
+  sampler.join();
+  EXPECT_LE(peak.load(), baseline) << "a gather started a thread";
+}
+
+// A kDelay fault at federation.shard.<id> delays that shard's leg only: its
+// router.fetch span takes the delay, the other legs' spans do not.
+TEST_F(FederationFixture, DelayFaultDelaysOnlyItsOwnLeg) {
+  TraceSamplingGuard guard;
+  trace::TraceRecorder::instance().Clear();
+  trace::TraceRecorder::instance().set_sampling(1.0);
+  StartShards(4, 1);
+  faults_->set_delay_ms(200);
+  faults_->ArmProbability("federation.shard.s2", FaultKind::kDelay, 1.0);
+  const auto start = Clock::now();
+  const http::Response merged = Route(http::MakeRequest(http::Method::kGet, core::kResourceBlocks));
+  const long long elapsed_ms = MillisSince(start);
+  ASSERT_EQ(merged.status, 200);
+  EXPECT_EQ(json::Parse(merged.body.view())->GetInt("Members@odata.count"), 4);
+  EXPECT_GE(elapsed_ms, 200);
+  EXPECT_LT(elapsed_ms, 380);
+
+  const std::uint64_t trace_id =
+      trace::HexToId(merged.headers.GetOr(trace::kTraceIdHeader, ""));
+  ASSERT_NE(trace_id, 0u);
+  std::map<std::string, std::uint64_t> leg_ms;
+  for (const trace::SpanRecord& span : trace::TraceRecorder::instance().TraceSpans(trace_id)) {
+    if (span.name == "router.fetch") leg_ms[span.note] = span.duration_ns / 1000000;
+  }
+  ASSERT_EQ(leg_ms.size(), 4u);
+  EXPECT_GE(leg_ms["s2"], 200u);
+  for (const char* fast : {"s1", "s3", "s4"}) {
+    EXPECT_LT(leg_ms[fast], 150u) << fast;
+  }
 }
 
 // --------------------------------------------- pooled event delivery wire --

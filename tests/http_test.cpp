@@ -7,7 +7,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "http/message.hpp"
 #include "http/router.hpp"
@@ -261,6 +263,25 @@ TEST(WireTest, UnknownMethodRejected) {
   EXPECT_FALSE(parser.TakeRequest().ok());
 }
 
+// A status code is exactly three ASCII digits in 100..599: no sign, no
+// padding, nothing trailing, and nothing too large for an int.
+TEST(WireTest, StatusCodeMustBeThreeDigits) {
+  for (const char* code : {"99999999999", "200abc", "+200", "0200", "20", "099", "600"}) {
+    WireParser parser(WireParser::Mode::kResponse);
+    parser.Feed(std::string("HTTP/1.1 ") + code + " OK\r\nContent-Length: 0\r\n\r\n");
+    ASSERT_TRUE(parser.HasMessage()) << code;
+    auto response = parser.TakeResponse();
+    EXPECT_FALSE(response.ok()) << code;
+    EXPECT_TRUE(parser.Broken()) << code;
+  }
+  WireParser parser(WireParser::Mode::kResponse);
+  parser.Feed("HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n");
+  ASSERT_TRUE(parser.HasMessage());
+  auto response = parser.TakeResponse();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 204);
+}
+
 TEST(WireTest, TakeWithoutMessageFails) {
   WireParser parser(WireParser::Mode::kRequest);
   EXPECT_FALSE(parser.TakeRequest().ok());
@@ -383,6 +404,72 @@ TEST(TcpTest, KeepAliveServesPipelinedRequestsOnOneConnection) {
   EXPECT_EQ(responses[1].body, "r:/b");
   EXPECT_EQ(responses[1].headers.Get("Connection"), "close");
   EXPECT_EQ(served.load(), 2);
+}
+
+// SendBatch runs every exchange on the calling thread: a slow server holds
+// back only its own response, each response is handed over as it completes,
+// a hung exchange times out on its own client's bound, delay_ms holds back
+// only its exchange, and a finished exchange parks its socket for the next.
+TEST(TcpTest, SendBatchOverlapsExchangesOnTheCallingThread) {
+  TcpServer fast;
+  TcpServer slow;
+  ASSERT_TRUE(fast.Start([](const Request& request) {
+                    return MakeTextResponse(200, "fast:" + request.path);
+                  })
+                  .ok());
+  ASSERT_TRUE(slow.Start([](const Request& request) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+                    return MakeTextResponse(200, "slow:" + request.path);
+                  })
+                  .ok());
+  TcpClient to_fast(fast.port());
+  TcpClient to_slow(slow.port());
+  TcpClient impatient(slow.port(), 50);
+  std::vector<TcpClient::Exchange> exchanges;
+  exchanges.push_back({&to_slow, MakeRequest(Method::kGet, "/a"), 0});
+  exchanges.push_back({&to_fast, MakeRequest(Method::kGet, "/b"), 0});
+  exchanges.push_back({&to_fast, MakeRequest(Method::kGet, "/c"), 100});
+  exchanges.push_back({&impatient, MakeRequest(Method::kGet, "/d"), 0});
+
+  const auto start = std::chrono::steady_clock::now();
+  auto elapsed_ms = [&] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  std::vector<std::size_t> order;
+  std::vector<long long> done_ms(4, -1);
+  std::vector<Result<Response>> results(4, Status::Internal("not delivered"));
+  TcpClient::SendBatch(std::move(exchanges), [&](std::size_t i, Result<Response> response) {
+    order.push_back(i);
+    done_ms[i] = elapsed_ms();
+    results[i] = std::move(response);
+  });
+  const long long total_ms = elapsed_ms();
+
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order.front(), 1u) << "the fast response is handed over first";
+  ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
+  EXPECT_EQ(results[0]->body, "slow:/a");
+  ASSERT_TRUE(results[1].ok()) << results[1].status().ToString();
+  EXPECT_EQ(results[1]->body, "fast:/b");
+  ASSERT_TRUE(results[2].ok()) << results[2].status().ToString();
+  EXPECT_EQ(results[2]->body, "fast:/c");
+  EXPECT_GE(done_ms[2], 100);
+  EXPECT_EQ(results[3].status().code(), ErrorCode::kTimeout);
+  EXPECT_LT(done_ms[3], 200) << "the timeout is the exchange's own bound";
+  EXPECT_GE(total_ms, 200);
+  EXPECT_LT(total_ms, 380) << "the two slow exchanges must overlap";
+  EXPECT_EQ(to_fast.connections_opened(), 1u);
+  EXPECT_EQ(to_fast.connections_reused(), 1u) << "/c reuses the socket /b parked";
+
+  // Alone, an exchange blocks in the kernel under the same bound.
+  const auto alone_start = std::chrono::steady_clock::now();
+  auto alone = impatient.Get("/e");
+  EXPECT_EQ(alone.status().code(), ErrorCode::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - alone_start, std::chrono::milliseconds(200));
+  fast.Stop();
+  slow.Stop();
 }
 
 TEST(TcpTest, ConnectToClosedPortFails) {

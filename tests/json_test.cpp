@@ -80,7 +80,65 @@ TEST(ValueTest, GettersWithFallback) {
   EXPECT_TRUE(obj.GetBool("nope", true));
 }
 
+// A double outside [-2^63, 2^63) has no int64 value (the conversion would be
+// undefined behaviour), so GetInt answers the fallback for it.
+TEST(ValueTest, GetIntFallsBackForDoublesOutsideInt64) {
+  const Json obj = Json::Obj({{"huge", 1e300},
+                              {"tiny", -1e300},
+                              {"past_max", 9.3e18},
+                              {"whole", 42.0},
+                              {"min", -9223372036854775808.0}});
+  EXPECT_EQ(obj.GetInt("huge", 7), 7);
+  EXPECT_EQ(obj.GetInt("tiny", 7), 7);
+  EXPECT_EQ(obj.GetInt("past_max", 7), 7);
+  EXPECT_EQ(obj.GetInt("whole", 7), 42);
+  EXPECT_EQ(obj.GetInt("min", 7), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(IntOr(*Parse("1e300"), -1), -1);
+  EXPECT_EQ(IntOr(*Parse("9223372036854775807"), -1),
+            std::numeric_limits<std::int64_t>::max());
+}
+
 // ----------------------------------------------------------------- Parse ---
+
+/// ParseRaw runs Parse's grammar: the same verdict and the same error (and so
+/// the same offset) for `text`. For an accepted object its members joined back
+/// together parse to the same document, and give Serialize(Parse(text)) byte
+/// for byte when `text` is already in that form; each array member's elements
+/// are the array's elements.
+void ExpectRawAgrees(std::string_view text, const ParseOptions& options = {}) {
+  const auto dom = Parse(text, options);
+  const auto raw = ParseRaw(text, options);
+  ASSERT_EQ(raw.ok(), dom.ok()) << text;
+  if (!dom.ok()) {
+    EXPECT_EQ(raw.status().ToString(), dom.status().ToString()) << text;
+    return;
+  }
+  ASSERT_EQ(raw->is_object, dom->is_object()) << text;
+  if (!dom->is_object()) {
+    EXPECT_TRUE(raw->members.empty());
+    return;
+  }
+  std::string joined = "{";
+  for (const RawMember& member : raw->members) {
+    if (joined.size() > 1) joined += ',';
+    joined += QuoteString(member.key) + ":" + std::string(member.value);
+    const Json& value = dom->at(member.key);
+    ASSERT_EQ(member.value.front() == '[', value.is_array()) << member.key;
+    if (!value.is_array()) {
+      EXPECT_TRUE(member.elements.empty());
+      continue;
+    }
+    ASSERT_EQ(member.elements.size(), value.as_array().size()) << member.key;
+    for (std::size_t i = 0; i < member.elements.size(); ++i) {
+      EXPECT_EQ(*Parse(member.elements[i]), value.as_array()[i]) << member.elements[i];
+    }
+  }
+  joined += '}';
+  EXPECT_EQ(*Parse(joined), *dom) << text;
+  if (text == Serialize(*dom)) {
+    EXPECT_EQ(joined, text);
+  }
+}
 
 TEST(ParseTest, Scalars) {
   EXPECT_TRUE(Parse("null")->is_null());
@@ -134,6 +192,11 @@ TEST_P(ParseRejects, Input) {
   auto result = Parse(GetParam().text);
   EXPECT_FALSE(result.ok()) << GetParam().text;
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+  ExpectRawAgrees(GetParam().text);
+  // The same defects inside a member, and inside an element of an array
+  // member, where ParseRaw records bytes instead of checking a whole value.
+  ExpectRawAgrees(std::string("{\"k\":") + GetParam().text + "}");
+  ExpectRawAgrees(std::string("{\"k\":[0,") + GetParam().text + "]}");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -161,6 +224,15 @@ TEST(ParseTest, DepthLimitEnforced) {
   // And within the limit it parses.
   std::string shallow = "[[[[[1]]]]]";
   EXPECT_TRUE(Parse(shallow, opts).ok());
+  // ParseRaw enforces the same limit at every level it records.
+  for (std::size_t max_depth = 0; max_depth <= 3; ++max_depth) {
+    ParseOptions limited;
+    limited.max_depth = max_depth;
+    for (const char* text : {"1", "[]", "{}", "[[1]]", R"({"a":1})", R"({"a":[1]})",
+                             R"({"a":[[1]]})", R"({"a":[{"b":2}]})", R"({"a":{"b":[3]}})"}) {
+      ExpectRawAgrees(text, limited);
+    }
+  }
 }
 
 // ------------------------------------------------------------- Serialize ---
@@ -219,6 +291,36 @@ TEST(ParseTest, DuplicateKeyKeepsFirstPositionAndLastValue) {
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->as_object().size(), 2u);
   EXPECT_EQ(Serialize(*doc), R"({"a":{"c":3},"b":2})");
+  auto raw = ParseRaw(R"({"a":[1,2],"b":2,"a":{"c":3}})");
+  ASSERT_TRUE(raw.ok());
+  ASSERT_EQ(raw->members.size(), 2u);
+  EXPECT_EQ(raw->members[0].key, "a");
+  EXPECT_EQ(raw->members[0].value, R"({"c":3})");
+  EXPECT_TRUE(raw->members[0].elements.empty());
+  EXPECT_EQ(raw->members[1].value, "2");
+}
+
+TEST(ParseRawTest, RecordsMembersAndElementsAsSourceBytes) {
+  const std::string text = " { \"Members\" : [ {\"@odata.id\":\"/a\"} , 2 ,\"\\u00fc\"] ,"
+                           "\"k\\\"ey\":null}\n";
+  auto raw = ParseRaw(text);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  ASSERT_TRUE(raw->is_object);
+  ASSERT_EQ(raw->members.size(), 2u);
+  const RawMember* members = raw->Find("Members");
+  ASSERT_NE(members, nullptr);
+  EXPECT_EQ(members->value, R"([ {"@odata.id":"/a"} , 2 ,"\u00fc"])");
+  EXPECT_THAT(members->elements,
+              ::testing::ElementsAre(R"({"@odata.id":"/a"})", "2", R"("\u00fc")"));
+  ASSERT_NE(raw->Find("k\"ey"), nullptr);
+  EXPECT_EQ(raw->Find("k\"ey")->value, "null");
+  EXPECT_EQ(raw->Find("missing"), nullptr);
+  ExpectRawAgrees(text);
+
+  auto array = ParseRaw("[1,2]");
+  ASSERT_TRUE(array.ok());
+  EXPECT_FALSE(array->is_object);
+  EXPECT_TRUE(array->members.empty());
 }
 
 // ------------------------------------------------------ Run boundaries ---
@@ -276,6 +378,9 @@ TEST_P(ParseRejectsAtRunEdge, Input) {
   auto result = Parse(GetParam().text);
   EXPECT_FALSE(result.ok()) << GetParam().text;
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+  ExpectRawAgrees(GetParam().text);
+  ExpectRawAgrees("{\"k\":" + GetParam().text);
+  ExpectRawAgrees("{\"k\":[" + GetParam().text);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -298,6 +403,10 @@ TEST(RunBoundaryTest, RejectsAtEveryRunLength) {
     EXPECT_FALSE(Parse(plain + "\\").ok()) << run;
     EXPECT_FALSE(Parse(plain + "\\u12").ok()) << run;
     EXPECT_TRUE(Parse(plain + "\"").ok()) << run;
+    for (const std::string& tail : {std::string("\x01\""), std::string(), std::string("\\"),
+                                    std::string("\\u12"), std::string("\"")}) {
+      ExpectRawAgrees("{\"k\":[" + plain + tail + "]}");
+    }
   }
 }
 
@@ -345,6 +454,7 @@ TEST_P(JsonRoundTrip, SerializeParseSerializeIsStable) {
     ASSERT_TRUE(parsed.ok()) << once;
     EXPECT_EQ(*parsed, doc);
     EXPECT_EQ(Serialize(*parsed), once);
+    ExpectRawAgrees(once);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -170,6 +171,43 @@ TEST_F(TraceTest, SampledSpansFormOneConnectedTree) {
   EXPECT_THAT(tree, HasSubstr("(POST /redfish/v1/Systems)"));
   EXPECT_THAT(tree, HasSubstr("  req.claim"));    // children indent under the root
   EXPECT_THAT(tree, HasSubstr("    req.journal"));
+}
+
+// Detached spans (the router's batched shard legs) are children of an
+// explicit parent that never become the ambient context, so they may end in
+// any order on one thread without corrupting what later spans parent under.
+TEST_F(TraceTest, DetachedSpansEndInAnyOrderAndLeaveTheAmbientContextAlone) {
+  trace::TraceRecorder::instance().set_sampling(1.0);
+  std::uint64_t trace_id = 0;
+  std::uint64_t root_id = 0;
+  {
+    trace::Span root("agg", trace::TraceContext{});
+    ASSERT_TRUE(root.active());
+    trace_id = root.context().trace_id;
+    root_id = root.context().span_id;
+    std::optional<trace::Span> first, second;
+    first.emplace("leg", root.context(), trace::Detached{});
+    second.emplace("leg", root.context(), trace::Detached{});
+    ASSERT_TRUE(first->active());
+    EXPECT_EQ(trace::Current().span_id, root_id);
+    first->End();  // not the last one opened
+    EXPECT_EQ(trace::Current().span_id, root_id);
+    trace::Span after("after");
+    EXPECT_EQ(after.context().trace_id, trace_id);
+    after.End();
+    second->End();
+    EXPECT_EQ(trace::Current().span_id, root_id);
+    EXPECT_FALSE(trace::Span("idle", trace::TraceContext{}, trace::Detached{}).active());
+  }
+  EXPECT_FALSE(trace::Current().active());
+  const auto spans = trace::TraceRecorder::instance().TraceSpans(trace_id);
+  ASSERT_EQ(spans.size(), 4u);
+  ExpectConnectedTree(spans);
+  for (const trace::SpanRecord& span : spans) {
+    if (span.name != "agg") {
+      EXPECT_EQ(span.parent_span_id, root_id) << span.name;
+    }
+  }
 }
 
 TEST_F(TraceTest, EntrySpanAdoptsRemoteContextAndChildrenInherit) {
