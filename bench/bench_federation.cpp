@@ -3,8 +3,8 @@
 // cost (a sleep standing in for real fabric/agent work, bounded by 4 shard
 // workers), so aggregate req/s is capacity-limited per shard and adding
 // shards must scale throughput — the router's whole value proposition. The
-// load shape is bench_connection_scaling's event-driven epoll driver, with
-// each connection rotating through fabric GET paths that interleave the
+// load shape is an event-driven epoll driver over keep-alive connections,
+// each rotating through fabric GET paths that interleave the
 // shards evenly (the ring's fabric placement is honored: every path is
 // created on its ring owner).
 //
@@ -155,9 +155,9 @@ struct LevelResult {
   std::size_t errors = 0;
 };
 
-/// bench_connection_scaling's event-driven driver, keep-alive only, with one
-/// twist: each connection rotates through `paths` (offset by its index) so
-/// the load spreads over every shard behind the router.
+/// Event-driven driver over keep-alive connections: each connection rotates
+/// through `paths` (offset by its index) so the load spreads over every
+/// shard behind the router.
 LevelResult RunLevel(std::uint16_t port, std::size_t connections,
                      std::size_t requests_per_conn,
                      const std::vector<std::string>& paths) {

@@ -137,17 +137,9 @@ Section Measure(const char* label, http::HttpClient& client, const http::Request
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_trace_overhead.json";
   bool smoke = false;
-  http::ServerOptions server_options;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--io-backend") == 0 && i + 1 < argc) {
-      const auto kind = http::ParseIoBackendKind(argv[++i]);
-      if (!kind) {
-        std::fprintf(stderr, "unknown --io-backend %s (epoll|io_uring)\n", argv[i]);
-        return 2;
-      }
-      server_options.io_backend = *kind;
     } else {
       out_path = argv[i];
     }
@@ -173,7 +165,7 @@ int main(int argc, char** argv) {
   service.sessions().set_auth_required(true);  // the rest_server wire shape
 
   http::TcpServer server;
-  if (!server.Start(service.Handler(), 0, server_options).ok()) {
+  if (!server.Start(service.Handler()).ok()) {
     std::fprintf(stderr, "failed to bind a port\n");
     return 1;
   }

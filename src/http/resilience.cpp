@@ -148,12 +148,8 @@ Result<Response> RetryingClient::Send(const Request& request) {
       return result;
     }
 
-    // Exponential backoff, full jitter: Uniform(0, min(max, base * 2^k)).
-    // ldexp keeps large attempt counts defined (saturates toward +inf and
-    // the min() caps it) where an int shift by >= 31 would be UB.
-    const double cap = std::min<double>(
-        policy_.max_backoff_ms,
-        std::ldexp(static_cast<double>(policy_.base_backoff_ms), attempt - 1));
+    const double cap =
+        BackoffCapMs(policy_.base_backoff_ms, policy_.max_backoff_ms, attempt);
     std::int64_t sleep_ms;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -169,6 +165,12 @@ Result<Response> RetryingClient::Send(const Request& request) {
     }
     if (sleep_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
   }
+}
+
+double BackoffCapMs(int base_ms, int max_ms, int k) {
+  // ldexp overflows to +inf for a huge k, which min() caps, where an integer
+  // shift by 31 or more would be undefined.
+  return std::min<double>(max_ms, std::ldexp(static_cast<double>(base_ms), k - 1));
 }
 
 RetryStats RetryingClient::stats() const {

@@ -40,9 +40,15 @@ class FaultyClient : public HttpClient {
   std::string point_;
 };
 
+/// Full-jitter exponential backoff, the one schedule every retry loop uses:
+/// the wait before retry k (k = 1 after the first failed attempt) is
+/// Uniform(0, cap) with cap = min(max_ms, base_ms * 2^(k-1)). Any k >= 1 is
+/// defined; a huge k saturates at max_ms.
+double BackoffCapMs(int base_ms, int max_ms, int k);
+
 struct RetryPolicy {
   int max_attempts = 4;
-  int base_backoff_ms = 5;    // attempt k sleeps Uniform(0, min(max, base*2^k))
+  int base_backoff_ms = 5;    // retry k sleeps Uniform(0, BackoffCapMs(...))
   int max_backoff_ms = 250;
   int deadline_ms = 2000;     // total budget: attempts + sleeps
   std::uint64_t jitter_seed = 0x5EEDull;

@@ -7,12 +7,11 @@
 // every connection fd, parses requests incrementally, and dispatches each
 // complete request to a bounded worker pool; workers hand finished responses
 // back to the loop through an eventfd. Handler code never runs on the loop
-// thread and never touches a socket. Readiness delivery is pluggable via
-// IoBackend (epoll by default, io_uring when selected and supported), and
-// responses leave through a zero-copy scatter-gather outbox: per-connection
-// (owner, data, size) segments flushed with sendmsg, so a cached body slab
-// is never concatenated or copied. See DESIGN.md "HTTP reactor" and
-// "Zero-copy data path".
+// thread and never touches a socket. The loop waits on level-triggered
+// epoll, and responses leave through a zero-copy scatter-gather outbox:
+// per-connection (owner, data, size) segments flushed with sendmsg, so a
+// cached body slab is never concatenated or copied. See DESIGN.md "HTTP
+// reactor" and "Zero-copy data path".
 #pragma once
 
 #include <atomic>
@@ -31,7 +30,6 @@
 #include "common/qos.hpp"
 #include "common/result.hpp"
 #include "common/threadpool.hpp"
-#include "http/io_backend.hpp"
 #include "http/message.hpp"
 #include "http/stream.hpp"
 #include "http/wire.hpp"
@@ -99,9 +97,6 @@ struct ServerOptions {
   std::function<qos::TenantSpec(const Request&)> tenant_classifier;
   /// Per-tenant queue bound for specs that leave max_queue at 0.
   std::size_t qos_queue_per_tenant = 256;
-  /// Readiness backend. kUring falls back to epoll at Start() when the
-  /// kernel lacks io_uring (logged, not an error).
-  IoBackendKind io_backend = IoBackendKind::kEpoll;
 };
 
 /// Monotonic counters the reactor maintains (relaxed atomics; exact values
@@ -115,16 +110,15 @@ struct ServerStats {
   std::uint64_t limit_rejections = 0;    // 431/413
   std::uint64_t overload_rejections = 0; // 503: worker or tenant queue full
   std::uint64_t rate_limited_rejections = 0;  // 429: tenant token bucket dry
-  std::size_t worker_queue_high_water = 0;    // deepest the pool queue got
   std::uint64_t idle_closed = 0;         // reaped by the idle sweep
   std::uint64_t streams_opened = 0;      // streaming (SSE) responses started
   std::uint64_t accept_failures = 0;     // accept() errors (EMFILE, ...)
   std::uint64_t accept_backoff_bursts = 0;  // resource-exhaustion backoffs
-  // Syscall accounting for the zero-copy bench (syscalls/request).
+  // Syscall accounting (perfbench's http.syscalls_per_req sums all four).
   std::uint64_t io_recv_calls = 0;       // recv() syscalls issued by the loop
   std::uint64_t io_send_calls = 0;       // sendmsg() syscalls issued
-  std::uint64_t backend_wait_calls = 0;  // blocking waits (epoll_wait/enter)
-  std::uint64_t backend_ctl_calls = 0;   // interest-change syscalls
+  std::uint64_t backend_wait_calls = 0;  // epoll_wait() syscalls
+  std::uint64_t backend_ctl_calls = 0;   // epoll_ctl() syscalls
 };
 
 /// Non-blocking epoll reactor HTTP/1.1 server on 127.0.0.1. Keep-alive and
@@ -151,17 +145,18 @@ class TcpServer {
   /// Per-tenant scheduler counters (empty when QoS is off). Safe from any
   /// thread; feeds the TenantQoS MetricReport.
   std::vector<qos::TenantStats> TenantQosStats() const;
-  /// The backend actually in use (after any fallback); "" before Start().
-  const char* backend_name() const { return backend_ ? backend_->name() : ""; }
+  /// The loop's readiness mechanism, for environment stamps.
+  const char* backend_name() const { return "epoll"; }
 
  private:
   struct Conn;
 
   void LoopMain();
-  void HandleAccept(const IoBackend::Event& event);
-  /// Registers a connection the backend (or accept4) just produced.
-  void AdoptAccepted(int fd);
-  void HandleConnEvent(std::uint64_t id, const IoBackend::Event& event);
+  /// epoll_ctl(op) for `fd` with `events` under `tag`, counted in ctl_calls_.
+  bool EpollCtl(int op, int fd, std::uint64_t tag, std::uint32_t events);
+  /// Drains the kernel backlog with accept4 and registers each connection.
+  void HandleAccept();
+  void HandleConnEvent(std::uint64_t id, std::uint32_t events);
   /// Per-connection pump: flush output, then take/dispatch buffered
   /// requests, until blocked (EAGAIN), waiting on a worker, or closed.
   void ServiceConn(std::uint64_t id);
@@ -195,7 +190,7 @@ class TcpServer {
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   int wake_fd_ = -1;  // eventfd: worker completions + shutdown
-  std::unique_ptr<IoBackend> backend_;
+  int epoll_fd_ = -1;  // closed by Stop() only after the loop thread joined
   std::unique_ptr<ThreadPool> pool_;
 
   std::atomic<bool> running_{false};
@@ -238,7 +233,8 @@ class TcpServer {
   std::atomic<std::uint64_t> accepted_{0}, closed_{0}, served_{0},
       parse_errors_{0}, limit_rejections_{0}, overload_rejections_{0},
       idle_closed_{0}, accept_failures_{0}, accept_backoff_bursts_{0},
-      recv_calls_{0}, send_calls_{0}, streams_opened_{0}, rate_limited_{0};
+      recv_calls_{0}, send_calls_{0}, wait_calls_{0}, ctl_calls_{0},
+      streams_opened_{0}, rate_limited_{0};
 };
 
 /// Blocking client against 127.0.0.1:port with a keep-alive connection pool:

@@ -15,6 +15,12 @@ std::atomic<std::uint64_t> g_body_bytes_copied{0};
 std::atomic<std::uint64_t> g_body_copies{0};
 std::atomic<std::uint64_t> g_zero_copy_bodies{0};
 
+/// Records an intentional body copy.
+void CountBodyCopy(std::size_t bytes) {
+  g_body_bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
+  g_body_copies.fetch_add(1, std::memory_order_relaxed);
+}
+
 std::size_t HeaderBlockSize(const HeaderMap& headers) {
   std::size_t total = 0;
   for (const auto& [name, value] : headers.entries()) {
@@ -84,11 +90,6 @@ void ResetWireCopyStats() {
   g_body_bytes_copied.store(0, std::memory_order_relaxed);
   g_body_copies.store(0, std::memory_order_relaxed);
   g_zero_copy_bodies.store(0, std::memory_order_relaxed);
-}
-
-void CountBodyCopy(std::size_t bytes) {
-  g_body_bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
-  g_body_copies.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::string SerializeRequestHead(const Request& request) {

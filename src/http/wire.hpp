@@ -30,9 +30,8 @@ std::string SerializeRequestHead(const Request& request);
 std::string SerializeResponseHead(const Response& response, std::size_t body_size);
 
 /// Process-wide instrumentation of user-space body copies on the wire path
-/// (relaxed atomics). bench_zero_copy and zero_copy_test read these to
-/// prove a cached GET moves zero body bytes between the cache slab and the
-/// socket.
+/// (relaxed atomics). zero_copy_test reads these to prove a cached GET moves
+/// zero body bytes between the cache slab and the socket.
 struct WireCopyStats {
   std::uint64_t body_bytes_copied = 0;  // body octets duplicated in user space
   std::uint64_t body_copies = 0;        // distinct copy events
@@ -40,9 +39,6 @@ struct WireCopyStats {
 };
 WireCopyStats GetWireCopyStats();
 void ResetWireCopyStats();
-/// Records an intentional body copy. Internal hook, also used by the
-/// copying baseline in bench_zero_copy to account its reconstructed copies.
-void CountBodyCopy(std::size_t bytes);
 
 /// Incremental parser usable for both directions. Feed bytes; poll for a
 /// complete message. Framing is computed incrementally: the header-terminator

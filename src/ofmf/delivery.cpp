@@ -6,6 +6,7 @@
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "common/trace.hpp"
+#include "http/resilience.hpp"
 #include "http/sse.hpp"
 #include "http/uri.hpp"
 #include "json/serialize.hpp"
@@ -593,12 +594,8 @@ void DeliveryEngine::FinishBatchLocked(Sub& sub, bool delivered_ok,
     resume();
     return;
   }
-  // Full-jitter exponential backoff, the http::RetryingClient policy:
-  // attempt k waits Uniform(0, min(max, base·2^k)).
-  const double cap = std::min<double>(
-      config_.max_backoff_ms,
-      static_cast<double>(config_.base_backoff_ms) *
-          static_cast<double>(1ull << std::min(sub.attempts, 20)));
+  const double cap =
+      http::BackoffCapMs(config_.base_backoff_ms, config_.max_backoff_ms, sub.attempts);
   const double wait_ms = rng_.Uniform(0.0, cap);
   if (self != nullptr) {
     WaitLocked(self, now + std::chrono::microseconds(

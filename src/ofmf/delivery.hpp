@@ -23,10 +23,10 @@
 //     counted per subscriber and surfaced once per overflow episode through
 //     the overflow sink (the EventService publishes the Redfish
 //     "EventQueueFull" meta-event from it).
-//   * Retries use full-jitter exponential backoff (Uniform(0, min(max,
-//     base·2^k)), the http::RetryingClient policy) and a per-subscriber
-//     CircuitBreaker: once open, a dead endpoint costs one probe per
-//     cooldown instead of hot retries.
+//   * Retries use full-jitter exponential backoff (http::BackoffCapMs, the
+//     http::RetryingClient policy) and a per-subscriber CircuitBreaker: once
+//     open, a dead endpoint costs one probe per cooldown instead of hot
+//     retries.
 //   * Items stay queued until acknowledged (2xx/3xx), then the durable
 //     cursor advances through the cursor sink — crash recovery replays
 //     exactly the unacknowledged suffix.
@@ -71,7 +71,7 @@ struct DeliveryConfig {
   std::size_t batch_max_events = 16;
   /// Attempts per batch before it is dropped and the cursor advances.
   int retry_attempts = 3;
-  /// Full-jitter backoff: attempt k waits Uniform(0, min(max, base·2^k)).
+  /// Full-jitter backoff: retry k waits Uniform(0, http::BackoffCapMs(...)).
   int base_backoff_ms = 5;
   int max_backoff_ms = 250;
   /// Pause between probe wakeups while a subscriber's breaker rejects.

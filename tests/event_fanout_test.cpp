@@ -185,9 +185,9 @@ TEST(EventFanoutTest, RetryUsesFullJitterBackoff) {
   ASSERT_EQ(times.size(), 4u);  // the full retry budget was spent
   EXPECT_EQ(ofmf.events().delivery_retries(), 3u);
   EXPECT_EQ(ofmf.events().delivery_failures(), 1u);
-  // Full jitter Uniform(0, min(max, base*2^k)): the three waits are bounded
-  // above by 40+80+160 ms, and (seeded deterministically) are not hot-spin
-  // zero-delay retries.
+  // Full jitter Uniform(0, min(max, base*2^(k-1))): the three waits are
+  // bounded above by 20+40+80 ms, and (seeded deterministically) are not
+  // hot-spin zero-delay retries.
   const double total_ms = MsBetween(times.front(), times.back());
   EXPECT_LT(total_ms, 400.0);
   EXPECT_GT(total_ms, 1.0);

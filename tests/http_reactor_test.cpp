@@ -1,7 +1,8 @@
 // Regression tests for the epoll-reactor TcpServer and the keep-alive
 // TcpClient pool: the idle-keep-alive Stop() hang, the EMFILE accept spin,
-// the unbounded request buffer, and the broken-parse connection-discard bug,
-// plus pipelining/split-read/keep-alive-reuse/Stop-during-inflight coverage.
+// the unbounded request buffer, the broken-parse connection-discard bug, and
+// stats() read across Stop(), plus pipelining/split-read/keep-alive-reuse/
+// Stop-during-inflight and 1024-connection coverage.
 // All of these run under the TSan/ASan CI jobs.
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -74,29 +76,7 @@ ServerHandler EchoHandler() {
   };
 }
 
-// Every reactor test runs against both readiness backends; the io_uring
-// variant self-skips on kernels without (usable) io_uring support.
-class ReactorTest : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == IoBackendKind::kUring && !IoUringSupported()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-  /// Server options preset to the backend under test.
-  ServerOptions Options() const {
-    ServerOptions options;
-    options.io_backend = GetParam();
-    return options;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorTest,
-                         ::testing::Values(IoBackendKind::kEpoll,
-                                           IoBackendKind::kUring),
-                         [](const ::testing::TestParamInfo<IoBackendKind>& backend) {
-                           return std::string(to_string(backend.param));
-                         });
+class ReactorTest : public ::testing::Test {};
 
 // ------------------------------------------------- Stop() responsiveness ---
 
@@ -104,9 +84,9 @@ INSTANTIATE_TEST_SUITE_P(Backends, ReactorTest,
 // connections; Stop() closed only the listen fd, then joined those threads
 // forever. The reactor never blocks in recv, so Stop() must return promptly
 // no matter how many idle keep-alive connections are open.
-TEST_P(ReactorTest, StopReturnsPromptlyWithIdleKeepAliveConnections) {
+TEST_F(ReactorTest, StopReturnsPromptlyWithIdleKeepAliveConnections) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler()).ok());
 
   // One connection that completed a keep-alive exchange, one that never
   // sent a byte — both sit idle in the server.
@@ -135,7 +115,7 @@ TEST_P(ReactorTest, StopReturnsPromptlyWithIdleKeepAliveConnections) {
   ::close(silent);
 }
 
-TEST_P(ReactorTest, StopDuringInflightRequestDoesNotHangOrCrash) {
+TEST_F(ReactorTest, StopDuringInflightRequestDoesNotHangOrCrash) {
   TcpServer server;
   std::atomic<int> entered{0};
   ASSERT_TRUE(server
@@ -143,8 +123,7 @@ TEST_P(ReactorTest, StopDuringInflightRequestDoesNotHangOrCrash) {
                     entered.fetch_add(1);
                     std::this_thread::sleep_for(std::chrono::milliseconds(150));
                     return MakeTextResponse(200, "slow");
-                  },
-                  0, Options())
+                  })
                   .ok());
   std::vector<std::thread> clients;
   std::atomic<int> finished{0};
@@ -171,16 +150,9 @@ TEST_P(ReactorTest, StopDuringInflightRequestDoesNotHangOrCrash) {
 // Seed bug: AcceptLoop() `continue`d on every accept() failure, so a
 // persistent EMFILE spun the accept thread at 100% CPU. The reactor must
 // back off (bounded failure count) and recover once fds free up.
-TEST_P(ReactorTest, AcceptBackoffUnderFdExhaustionAndRecovery) {
-  if (GetParam() == IoBackendKind::kUring) {
-    // Multishot accept runs in kernel context and (verified on this kernel)
-    // installs the accepted fd without charging RLIMIT_NOFILE, so the EMFILE
-    // window this test engineers never opens: the "unacceptable" connection
-    // is simply accepted. EMFILE backoff is a readiness-accept behavior.
-    GTEST_SKIP() << "io_uring accepts in-kernel; EMFILE backoff does not apply";
-  }
+TEST_F(ReactorTest, AcceptBackoffUnderFdExhaustionAndRecovery) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler()).ok());
 
   // Client socket first — once the fd table is full we cannot make one.
   const int client = ConnectLoopback(server.port());
@@ -236,8 +208,8 @@ TEST_P(ReactorTest, AcceptBackoffUnderFdExhaustionAndRecovery) {
 
 // ------------------------------------------------------- request limits ---
 
-TEST_P(ReactorTest, OversizedHeaderBlockGets431AndClose) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, OversizedHeaderBlockGets431AndClose) {
+  ServerOptions options;
   options.max_header_bytes = 1024;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -259,8 +231,8 @@ TEST_P(ReactorTest, OversizedHeaderBlockGets431AndClose) {
 
 // A client streaming header bytes forever (no terminator) used to grow the
 // parser buffer without bound; now the cap trips mid-stream.
-TEST_P(ReactorTest, EndlessHeaderStreamIsCappedNotBuffered) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, EndlessHeaderStreamIsCappedNotBuffered) {
+  ServerOptions options;
   options.max_header_bytes = 2048;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -279,8 +251,8 @@ TEST_P(ReactorTest, EndlessHeaderStreamIsCappedNotBuffered) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, OversizedBodyGets413BeforeBufferingIt) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, OversizedBodyGets413BeforeBufferingIt) {
+  ServerOptions options;
   options.max_body_bytes = 1024;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -298,8 +270,8 @@ TEST_P(ReactorTest, OversizedBodyGets413BeforeBufferingIt) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, RequestExactlyAtBodyLimitIsServed) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, RequestExactlyAtBodyLimitIsServed) {
+  ServerOptions options;
   options.max_body_bytes = 1024;
   TcpServer server;
   std::atomic<std::size_t> seen_body{0};
@@ -323,7 +295,7 @@ TEST_P(ReactorTest, RequestExactlyAtBodyLimitIsServed) {
 }
 
 // Parser-level exactness: the caps are inclusive (== limit passes).
-TEST_P(ReactorTest, WireParserLimitBoundariesAreExact) {
+TEST_F(ReactorTest, WireParserLimitBoundariesAreExact) {
   Request request = MakeRequest(Method::kGet, "/x");
   const std::string wire = SerializeRequest(request);
   const std::size_t header_bytes = wire.size();  // no body: whole thing is header
@@ -359,15 +331,14 @@ TEST_P(ReactorTest, WireParserLimitBoundariesAreExact) {
 // Seed bug: after a broken parse the connection kept its buffered bytes and
 // close_after was only computed on the success path. The reactor must send
 // one 400 with Connection: close and discard everything after the garbage.
-TEST_P(ReactorTest, PipelinedGarbageAfterValidRequestDiscardsConnection) {
+TEST_F(ReactorTest, PipelinedGarbageAfterValidRequestDiscardsConnection) {
   TcpServer server;
   std::atomic<int> served{0};
   ASSERT_TRUE(server
                   .Start([&](const Request& request) {
                     served.fetch_add(1);
                     return MakeTextResponse(200, "r:" + request.path);
-                  },
-                  0, Options())
+                  })
                   .ok());
   const int fd = ConnectLoopback(server.port());
   Request good = MakeRequest(Method::kGet, "/good");
@@ -399,9 +370,9 @@ TEST_P(ReactorTest, PipelinedGarbageAfterValidRequestDiscardsConnection) {
 
 // --------------------------------------------------- pipelining + reads ---
 
-TEST_P(ReactorTest, TwoRequestsInOneSendAreServedInOrder) {
+TEST_F(ReactorTest, TwoRequestsInOneSendAreServedInOrder) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler()).ok());
   const int fd = ConnectLoopback(server.port());
   Request a = MakeRequest(Method::kGet, "/a");
   a.headers.Set("Connection", "keep-alive");
@@ -415,13 +386,12 @@ TEST_P(ReactorTest, TwoRequestsInOneSendAreServedInOrder) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, ResponseSplitAcrossManySmallReadsParses) {
+TEST_F(ReactorTest, ResponseSplitAcrossManySmallReadsParses) {
   TcpServer server;
   ASSERT_TRUE(server
                   .Start([](const Request&) {
                     return MakeTextResponse(200, std::string(8192, 'x'));
-                  },
-                  0, Options())
+                  })
                   .ok());
   const int fd = ConnectLoopback(server.port());
   SendAll(fd, SerializeRequest(MakeRequest(Method::kGet, "/big")));
@@ -433,9 +403,9 @@ TEST_P(ReactorTest, ResponseSplitAcrossManySmallReadsParses) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, KeepAliveServes100SequentialRequestsOnOneFd) {
+TEST_F(ReactorTest, KeepAliveServes100SequentialRequestsOnOneFd) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler()).ok());
   const int fd = ConnectLoopback(server.port());
   for (int i = 0; i < 100; ++i) {
     Request request = MakeRequest(Method::kGet, "/seq/" + std::to_string(i));
@@ -454,9 +424,9 @@ TEST_P(ReactorTest, KeepAliveServes100SequentialRequestsOnOneFd) {
 
 // ---------------------------------------------------- client-side pool ---
 
-TEST_P(ReactorTest, TcpClientPoolReusesOneConnection) {
+TEST_F(ReactorTest, TcpClientPoolReusesOneConnection) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler()).ok());
   TcpClient client(server.port());
   for (int i = 0; i < 100; ++i) {
     auto response = client.Get("/p/" + std::to_string(i));
@@ -469,8 +439,8 @@ TEST_P(ReactorTest, TcpClientPoolReusesOneConnection) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, TcpClientRetriesOnceOnStalePooledConnection) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, TcpClientRetriesOnceOnStalePooledConnection) {
+  ServerOptions options;
   options.idle_timeout_ms = 50;  // server reaps the pooled fd between calls
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -490,8 +460,8 @@ TEST_P(ReactorTest, TcpClientRetriesOnceOnStalePooledConnection) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, MaxRequestsPerConnectionForcesClose) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, MaxRequestsPerConnectionForcesClose) {
+  ServerOptions options;
   options.max_requests_per_connection = 2;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -512,8 +482,8 @@ TEST_P(ReactorTest, MaxRequestsPerConnectionForcesClose) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, IdleConnectionsAreReaped) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, IdleConnectionsAreReaped) {
+  ServerOptions options;
   options.idle_timeout_ms = 50;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -527,8 +497,8 @@ TEST_P(ReactorTest, IdleConnectionsAreReaped) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, WorkerQueueFullAnswers503RetryAfter) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, WorkerQueueFullAnswers503RetryAfter) {
+  ServerOptions options;
   options.workers = 1;
   options.max_queued_requests = 1;
   TcpServer server;
@@ -575,8 +545,8 @@ TEST_P(ReactorTest, WorkerQueueFullAnswers503RetryAfter) {
 // Regression for the hardcoded "Retry-After: 1": the overload hint must
 // scale with the backlog, so clients shed behind a deep queue are told to
 // come back later than clients shed behind a shallow one.
-TEST_P(ReactorTest, OverloadRetryAfterScalesWithQueueDepth) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, OverloadRetryAfterScalesWithQueueDepth) {
+  ServerOptions options;
   options.workers = 1;
   options.max_queued_requests = 150;
   options.max_connections = 400;
@@ -626,8 +596,8 @@ TEST_P(ReactorTest, OverloadRetryAfterScalesWithQueueDepth) {
 // End-to-end token-bucket admission: a tenant over its rate gets 429 with a
 // Retry-After derived from refill time — and successive rejections quote
 // non-decreasing (and eventually growing) waits, never one constant.
-TEST_P(ReactorTest, QosRateLimitBreachAnswers429WithDerivedRetryAfter) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, QosRateLimitBreachAnswers429WithDerivedRetryAfter) {
+  ServerOptions options;
   options.tenant_classifier = [](const Request& request) {
     qos::TenantSpec spec;
     spec.id = request.headers.GetOr("X-Tenant", "default");
@@ -679,8 +649,8 @@ TEST_P(ReactorTest, QosRateLimitBreachAnswers429WithDerivedRetryAfter) {
 
 // With the classifier installed, requests flow through the DRR scheduler:
 // every request from every tenant still completes (no starvation, no loss).
-TEST_P(ReactorTest, QosSchedulerCompletesAllTenantsRequests) {
-  ServerOptions options = Options();
+TEST_F(ReactorTest, QosSchedulerCompletesAllTenantsRequests) {
+  ServerOptions options;
   options.workers = 2;
   options.tenant_classifier = [](const Request& request) {
     qos::TenantSpec spec;
@@ -715,14 +685,13 @@ TEST_P(ReactorTest, QosSchedulerCompletesAllTenantsRequests) {
 
 // A half-closed client (shutdown(SHUT_WR) after the request) still gets its
 // response: EOF while a request is in flight must not kill the connection.
-TEST_P(ReactorTest, HalfCloseAfterRequestStillGetsResponse) {
+TEST_F(ReactorTest, HalfCloseAfterRequestStillGetsResponse) {
   TcpServer server;
   ASSERT_TRUE(server
                   .Start([](const Request&) {
                     std::this_thread::sleep_for(std::chrono::milliseconds(30));
                     return MakeTextResponse(200, "late");
-                  },
-                  0, Options())
+                  })
                   .ok());
   const int fd = ConnectLoopback(server.port());
   SendAll(fd, SerializeRequest(MakeRequest(Method::kGet, "/halfclose")));
@@ -734,9 +703,9 @@ TEST_P(ReactorTest, HalfCloseAfterRequestStillGetsResponse) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, ConcurrentKeepAliveClientsUnderChurn) {
+TEST_F(ReactorTest, ConcurrentKeepAliveClientsUnderChurn) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler()).ok());
   std::vector<std::thread> threads;
   std::atomic<int> successes{0};
   for (int t = 0; t < 8; ++t) {
@@ -754,6 +723,110 @@ TEST_P(ReactorTest, ConcurrentKeepAliveClientsUnderChurn) {
   // request count.
   EXPECT_LE(server.stats().connections_accepted, 16u);
   server.Stop();
+}
+
+// 1024 keep-alive connections held open at once, each serving GETs in
+// sequence, with no error, shed or limit rejection.
+TEST_F(ReactorTest, Serves1024ConcurrentKeepAliveConnections) {
+  constexpr std::size_t kConns = 1024;
+  constexpr int kRequestsPerConn = 4;
+  // Both ends of every connection live in this process.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const rlim_t needed = 2 * kConns + 128;
+  if (saved.rlim_max != RLIM_INFINITY && saved.rlim_max < needed) {
+    GTEST_SKIP() << "hard RLIMIT_NOFILE " << saved.rlim_max << " is below " << needed;
+  }
+  rlimit raised = saved;
+  if (raised.rlim_cur != RLIM_INFINITY && raised.rlim_cur < needed) raised.rlim_cur = needed;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &raised), 0);
+
+  ServerOptions options;
+  options.max_connections = 4096;
+  options.max_queued_requests = 16384;
+  TcpServer server;
+  ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < kConns; ++i) {
+    const int fd = ConnectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    // A lost response fails the read below instead of hanging the test.
+    const timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  }
+
+  // Each round puts one request in flight on every connection, then reads
+  // every answer: 1024 requests outstanding at once, four times over.
+  for (int round = 0; round < kRequestsPerConn; ++round) {
+    for (std::size_t i = 0; i < kConns; ++i) {
+      Request request = MakeRequest(Method::kGet, "/c/" + std::to_string(i) + "/" +
+                                                      std::to_string(round));
+      request.headers.Set("Connection", "keep-alive");
+      SendAll(fds[i], SerializeRequest(request));
+    }
+    for (std::size_t i = 0; i < kConns; ++i) {
+      const std::vector<Response> responses = ReadResponses(fds[i], 1);
+      ASSERT_EQ(responses.size(), 1u) << "connection " << i << " round " << round;
+      EXPECT_EQ(responses[0].status, 200);
+      EXPECT_EQ(responses[0].body,
+                "r:/c/" + std::to_string(i) + "/" + std::to_string(round));
+    }
+  }
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.connections_accepted, kConns);
+  EXPECT_EQ(stats.connections_closed, 0u);  // every connection stayed open
+  EXPECT_EQ(stats.requests_served, kConns * kRequestsPerConn);
+  EXPECT_EQ(stats.overload_rejections, 0u);
+  EXPECT_EQ(stats.limit_rejections, 0u);
+  EXPECT_EQ(stats.parse_errors, 0u);
+  for (const int fd : fds) ::close(fd);
+  server.Stop();
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+}
+
+// ServerStats promises exact values after Stop(). The epoll call counts used
+// to live in an object Stop() destroyed, so they read 0 afterwards.
+TEST_F(ReactorTest, EpollCallCountsSurviveStop) {
+  TcpServer server;
+  ASSERT_TRUE(server.Start(EchoHandler()).ok());
+  TcpClient client(server.port());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.Get("/n/" + std::to_string(i)).ok());
+  server.Stop();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_served, 3u);
+  EXPECT_GE(stats.backend_wait_calls, 1u);
+  EXPECT_GE(stats.backend_ctl_calls, 1u);
+}
+
+// stats() and backend_name() are safe from any thread, Stop() included: a
+// reader polling them while the loop shuts down sees monotonic counters (the
+// TSan job checks the reads race with nothing).
+TEST_F(ReactorTest, StatsAndBackendNameAreSafeAcrossStop) {
+  TcpServer server;
+  ASSERT_TRUE(server.Start(EchoHandler()).ok());
+  TcpClient client(server.port());
+  ASSERT_TRUE(client.Get("/warm").ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::thread reader([&] {
+    std::uint64_t last_wait = 0;
+    while (!done.load()) {
+      const ServerStats stats = server.stats();
+      EXPECT_STREQ(server.backend_name(), "epoll");
+      EXPECT_GE(stats.backend_wait_calls, last_wait);
+      last_wait = stats.backend_wait_calls;
+      reads.fetch_add(1);
+    }
+  });
+  while (reads.load() < 100) std::this_thread::yield();
+  server.Stop();
+  const int after_stop = reads.load() + 100;
+  while (reads.load() < after_stop) std::this_thread::yield();
+  done.store(true);
+  reader.join();
+  EXPECT_GE(server.stats().backend_wait_calls, 1u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <memory>
 
 #include "agents/ib_agent.hpp"
@@ -258,6 +259,19 @@ TEST(RetryingClientTest, HugeRetryAfterExhaustsDeadlineWithoutSleeping) {
     EXPECT_EQ(raw->calls_, 1) << retry_after;
     EXPECT_EQ(retrying.stats().deadline_exhausted, 1u) << retry_after;
   }
+}
+
+// The one backoff schedule RetryingClient and event delivery share.
+TEST(BackoffCapTest, StartsAtBaseDoublesAndSaturatesAtMax) {
+  EXPECT_EQ(http::BackoffCapMs(5, 250, 1), 5.0);  // first retry waits up to base
+  EXPECT_EQ(http::BackoffCapMs(5, 250, 2), 10.0);
+  EXPECT_EQ(http::BackoffCapMs(5, 250, 3), 20.0);
+  EXPECT_EQ(http::BackoffCapMs(5, 250, 6), 160.0);
+  EXPECT_EQ(http::BackoffCapMs(5, 250, 7), 250.0);
+  EXPECT_EQ(http::BackoffCapMs(5, 250, 64), 250.0);
+  EXPECT_EQ(http::BackoffCapMs(5, 250, std::numeric_limits<int>::max()), 250.0);
+  EXPECT_EQ(http::BackoffCapMs(0, 250, 1), 0.0);
+  EXPECT_EQ(http::BackoffCapMs(0, 250, std::numeric_limits<int>::max()), 0.0);
 }
 
 // -------------------------------------------------------- HTTP error model ---

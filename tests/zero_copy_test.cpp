@@ -2,7 +2,7 @@
 // (meant to run under OFMF_SANITIZE=address), Body view semantics, the
 // WireParser's zero-copy body extraction and eager compaction, cache-hit
 // slab identity through the Redfish service, and partial-writev resumption
-// mid-iovec through a real TcpServer on both IoBackends.
+// mid-iovec through a real TcpServer.
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
@@ -262,26 +262,7 @@ TEST_F(ZeroCopyCacheTest, MutatingHeadersAfterAttachInvalidatesWireHead) {
 
 // ------------------------------------------- wire-level writev resumption ---
 
-class ZeroCopyWireTest : public ::testing::TestWithParam<http::IoBackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == http::IoBackendKind::kUring && !http::IoUringSupported()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-  http::ServerOptions Options() const {
-    http::ServerOptions options;
-    options.io_backend = GetParam();
-    return options;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, ZeroCopyWireTest,
-                         ::testing::Values(http::IoBackendKind::kEpoll,
-                                           http::IoBackendKind::kUring),
-                         [](const ::testing::TestParamInfo<http::IoBackendKind>& backend) {
-                           return std::string(http::to_string(backend.param));
-                         });
+class ZeroCopyWireTest : public ::testing::Test {};
 
 /// Connects to the loopback listener. A nonzero `rcvbuf` is set before
 /// connect, so the advertised window (and its scale) honours it and receive
@@ -330,7 +311,7 @@ int FindListeningSocket(std::uint16_t port) {
 // client a small SO_RCVBUF before connect, so one sendmsg can move at most
 // a few hundred KiB of the 4 MiB body. Small reads drain it in many steps,
 // and the body is compared byte-for-byte.
-TEST_P(ZeroCopyWireTest, PartialWritevResumesMidIovecWithoutCorruption) {
+TEST_F(ZeroCopyWireTest, PartialWritevResumesMidIovecWithoutCorruption) {
   // A patterned body makes any mid-iovec resumption bug (skipped or
   // repeated range) corrupt the comparison, not just the length.
   std::string expected(4 * 1024 * 1024, '\0');
@@ -347,8 +328,7 @@ TEST_P(ZeroCopyWireTest, PartialWritevResumesMidIovecWithoutCorruption) {
                     response.body = http::Body(slab);
                     response.headers.Set("Content-Type", "application/octet-stream");
                     return response;
-                  },
-                  0, Options())
+                  })
                   .ok());
 
   const int listener = FindListeningSocket(server.port());
@@ -382,7 +362,7 @@ TEST_P(ZeroCopyWireTest, PartialWritevResumesMidIovecWithoutCorruption) {
 // The server-side copy discipline on the wire: with a pre-attached head and
 // a slab body, queueing and flushing a response performs no user-space body
 // copy at all (the recv/parse side of the echoed GET is header-only).
-TEST_P(ZeroCopyWireTest, CachedStyleResponseMovesZeroBodyBytesInUserSpace) {
+TEST_F(ZeroCopyWireTest, CachedStyleResponseMovesZeroBodyBytesInUserSpace) {
   auto slab = std::make_shared<const std::string>(std::string(256 * 1024, 'c'));
   http::TcpServer server;
   ASSERT_TRUE(server
@@ -394,8 +374,7 @@ TEST_P(ZeroCopyWireTest, CachedStyleResponseMovesZeroBodyBytesInUserSpace) {
                     response.set_wire_head(std::make_shared<const std::string>(
                         http::SerializeResponseHead(response, slab->size())));
                     return response;
-                  },
-                  0, Options())
+                  })
                   .ok());
   const int fd = ConnectLoopback(server.port());
   const std::string wire = "GET /c HTTP/1.1\r\nHost: x\r\n\r\n";
