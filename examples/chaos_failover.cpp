@@ -125,8 +125,8 @@ int main() {
               static_cast<unsigned long long>(flapper.flaps()));
 
   // --- 5. The resilience counters, as Redfish telemetry. -----------------
-  const Json report = *client.Get(core::TelemetryService::ResilienceReportUri());
-  std::printf("5. %s:\n%s\n", core::TelemetryService::ResilienceReportUri().c_str(),
+  const Json report = *client.Get(core::TelemetryService::ReportUri("Resilience"));
+  std::printf("5. %s:\n%s\n", core::TelemetryService::ReportUri("Resilience").c_str(),
               json::SerializePretty(report.at("Oem")).c_str());
   return 0;
 }

@@ -160,22 +160,20 @@ Counter& Registry::counter(const std::string& name) {
   return *slot;
 }
 
-std::vector<Registry::NamedHistogram> Registry::HistogramSnapshots() const {
+std::map<std::string, Histogram::Snapshot> Registry::HistogramSnapshots() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<NamedHistogram> out;
-  out.reserve(histograms_.size());
+  std::map<std::string, Histogram::Snapshot> out;
   for (const auto& [name, hist] : histograms_) {
-    out.push_back({name, hist->snapshot()});
+    out.emplace_hint(out.end(), name, hist->snapshot());
   }
-  return out;  // std::map iteration order: already sorted by name
+  return out;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> Registry::CounterValues() const {
+std::map<std::string, std::uint64_t> Registry::CounterValues() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(counters_.size());
+  std::map<std::string, std::uint64_t> out;
   for (const auto& [name, counter] : counters_) {
-    out.emplace_back(name, counter->value());
+    out.emplace_hint(out.end(), name, counter->value());
   }
   return out;
 }

@@ -15,7 +15,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace ofmf::metrics {
 
@@ -91,13 +90,10 @@ class Registry {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  struct NamedHistogram {
-    std::string name;
-    Histogram::Snapshot snap;
-  };
-  /// Sorted by name; aggregates shards at call time.
-  std::vector<NamedHistogram> HistogramSnapshots() const;
-  std::vector<std::pair<std::string, std::uint64_t>> CounterValues() const;
+  /// Every instrument's value by name; histograms aggregate their shards at
+  /// call time.
+  std::map<std::string, Histogram::Snapshot> HistogramSnapshots() const;
+  std::map<std::string, std::uint64_t> CounterValues() const;
 
   /// Zeroes every instrument (names and references survive).
   void ResetAll();

@@ -1,264 +1,78 @@
 #include "federation/fleet.hpp"
 
-#include <algorithm>
+#include "ofmf/uris.hpp"
 
 namespace ofmf::federation {
 namespace {
 
-/// Rebuilds a Snapshot from a MetricsDump histogram entry. The count is
-/// derived from the buckets, never trusted from the wire, so a merge of
-/// already-merged dumps stays self-consistent.
-bool SnapshotFromJson(const json::Json& entry, metrics::Histogram::Snapshot* out) {
-  const json::Json& buckets = entry.at("Buckets");
-  if (!buckets.is_array()) return false;
-  const std::size_t n =
-      std::min<std::size_t>(buckets.as_array().size(), metrics::Histogram::kBuckets);
-  for (std::size_t i = 0; i < n; ++i) {
-    const json::Json& b = buckets.as_array()[i];
-    if (b.is_int()) out->buckets[i] = static_cast<std::uint64_t>(b.as_int());
+/// A report body as the router serves it: no tree stamps @odata.id and
+/// @odata.type on it, so they are prepended here.
+json::Json Served(json::Json body) {
+  json::Json doc = json::Json::Obj(
+      {{"@odata.id", core::TelemetryService::ReportUri(body.GetString("Id"))},
+       {"@odata.type", "#MetricReport.v1_4_2.MetricReport"}});
+  for (json::Member& member : body.as_object()) {
+    doc.as_object().Set(std::move(member.first), std::move(member.second));
   }
-  out->sum = static_cast<std::uint64_t>(entry.GetInt("Sum", 0));
-  out->count = out->DerivedCount();
-  return true;
+  return doc;
 }
 
-/// Sums the integer-valued members of a dump section into scalars_ under
-/// "<section>.<field>". Rates and other doubles are skipped — they do not
-/// add; the report builders recompute them from the summed parts.
-void AbsorbSection(const json::Json& dump, const char* section,
-                   std::map<std::string, std::uint64_t>& scalars) {
-  const json::Json& obj = dump.at(section);
-  if (!obj.is_object()) return;
-  for (const json::Member& member : obj.as_object()) {
-    if (!member.second.is_int()) continue;
-    const std::int64_t value = member.second.as_int();
-    if (value < 0) continue;
-    scalars[std::string(section) + "." + member.first] +=
-        static_cast<std::uint64_t>(value);
-  }
-}
-
-json::Json Metric(const std::string& id, double value, const std::string& property) {
-  return json::Json::Obj({{"MetricId", id},
-                          {"MetricValue", value},
-                          {"MetricProperty", property}});
-}
-
-json::Json ReportShell(const std::string& name, const std::string& title,
-                       json::Array values) {
-  return json::Json::Obj({
-      {"@odata.id", "/redfish/v1/TelemetryService/MetricReports/" + name},
-      {"@odata.type", "#MetricReport.v1_4_2.MetricReport"},
-      {"Id", name},
-      {"Name", title},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-  });
+json::Json Ids(const std::vector<std::string>& ids) {
+  return json::Json(json::Array(ids.begin(), ids.end()));
 }
 
 }  // namespace
 
 void FleetMetrics::Absorb(const std::string& shard_id, const json::Json& dump) {
-  if (!dump.is_object()) return;
+  Result<core::TelemetrySnapshot> snapshot = core::ParseDump(dump);
+  if (!snapshot.ok()) return Omit(shard_id);
   shards_.push_back(shard_id);
-  const json::Json& histograms = dump.at("Histograms");
-  if (histograms.is_array()) {
-    for (const json::Json& entry : histograms.as_array()) {
-      const std::string name = entry.GetString("Name");
-      if (name.empty()) continue;
-      metrics::Histogram::Snapshot snap;
-      if (!SnapshotFromJson(entry, &snap)) continue;
-      histograms_[name].Merge(snap);
+  resilience_.emplace_back(shard_id, snapshot->resilience);
+  merged_.Merge(*snapshot);
+}
+
+void FleetMetrics::Omit(const std::string& shard_id) { degraded_.push_back(shard_id); }
+
+json::Json FleetMetrics::Report(const std::string& name) const {
+  const core::ReportBuilder build = core::FindReportBuilder(name);
+  if (build == nullptr) return json::Json();
+  json::Json report = Served(build(merged_, core::ReportScope::kFleet));
+  if (name == "Resilience") {
+    json::Array shards;
+    for (const auto& [shard_id, resilience] : resilience_) {
+      json::Json entry = json::Json::Obj({{"ShardId", shard_id}});
+      core::AppendResilienceSummary(entry.as_object(), resilience, /*with_counts=*/false);
+      shards.push_back(std::move(entry));
     }
+    core::OfmfOem(report).Set("Shards", json::Json(std::move(shards)));
   }
-  const json::Json& counters = dump.at("Counters");
-  if (counters.is_array()) {
-    for (const json::Json& entry : counters.as_array()) {
-      const std::string name = entry.GetString("Name");
-      if (name.empty()) continue;
-      counters_[name] += static_cast<std::uint64_t>(entry.GetInt("Value", 0));
-    }
-  }
-  AbsorbSection(dump, "ResponseCache", scalars_);
-  AbsorbSection(dump, "Trace", scalars_);
-  AbsorbSection(dump, "EventDelivery", scalars_);
-  AbsorbSection(dump, "Resilience", scalars_);
-  const json::Json& resilience = dump.at("Resilience");
-  if (resilience.is_object()) resilience_.emplace_back(shard_id, resilience);
-}
-
-std::uint64_t FleetMetrics::scalar(const std::string& key) const {
-  const auto it = scalars_.find(key);
-  return it == scalars_.end() ? 0 : it->second;
-}
-
-json::Json FleetMetrics::ToJson() const {
-  json::Array histograms;
-  for (const auto& [name, snap] : histograms_) {
-    // Pre-sized assignment, not push_back: GCC 12's -Wmaybe-uninitialized
-    // false-positives on vector relocation of the Json variant at -O2.
-    json::Array buckets(snap.buckets.size());
-    for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-      buckets[i] = static_cast<std::int64_t>(snap.buckets[i]);
-    }
-    histograms.push_back(json::Json::Obj(
-        {{"Name", name},
-         {"Count", static_cast<std::int64_t>(snap.count)},
-         {"Sum", static_cast<std::int64_t>(snap.sum)},
-         {"Mean", snap.mean()},
-         {"P50", snap.Percentile(0.50)},
-         {"P95", snap.Percentile(0.95)},
-         {"P99", snap.Percentile(0.99)},
-         {"Buckets", json::Json(std::move(buckets))}}));
-  }
-  json::Array counters;
-  for (const auto& [name, value] : counters_) {
-    counters.push_back(json::Json::Obj(
-        {{"Name", name}, {"Value", static_cast<std::int64_t>(value)}}));
-  }
-  json::Array shard_list;
-  for (const std::string& shard : shards_) shard_list.push_back(json::Json(shard));
-  const std::uint64_t hits = scalar("ResponseCache.Hits");
-  const std::uint64_t misses = scalar("ResponseCache.Misses");
-  const double hit_rate =
-      hits + misses == 0
-          ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  return json::Json::Obj(
-      {{"Shards", json::Json(std::move(shard_list))},
-       {"Histograms", json::Json(std::move(histograms))},
-       {"Counters", json::Json(std::move(counters))},
-       {"Trace",
-        json::Json::Obj(
-            {{"SampledTraces", static_cast<std::int64_t>(scalar("Trace.SampledTraces"))},
-             {"SpansRecorded", static_cast<std::int64_t>(scalar("Trace.SpansRecorded"))},
-             {"SlowTraces", static_cast<std::int64_t>(scalar("Trace.SlowTraces"))},
-             {"RetainedTraces",
-              static_cast<std::int64_t>(scalar("Trace.RetainedTraces"))}})},
-       {"ResponseCache",
-        json::Json::Obj(
-            {{"Hits", static_cast<std::int64_t>(hits)},
-             {"Misses", static_cast<std::int64_t>(misses)},
-             {"Evictions", static_cast<std::int64_t>(scalar("ResponseCache.Evictions"))},
-             {"Invalidations",
-              static_cast<std::int64_t>(scalar("ResponseCache.Invalidations"))},
-             {"HitRate", hit_rate}})}});
-}
-
-json::Json FleetRequestLatencyReport(const FleetMetrics& fleet) {
-  json::Array values;
-  for (const auto& [name, snap] : fleet.histograms()) {
-    // Same scaling convention as the shard-side report: latency series are
-    // nanoseconds, reported in milliseconds; size series pass through.
-    const bool is_ns =
-        (name.size() >= 3 && name.compare(name.size() - 3, 3, ".ns") == 0) ||
-        name.rfind("http.latency.", 0) == 0;
-    const double scale = is_ns ? 1e-6 : 1.0;
-    const std::string property = is_ns ? "milliseconds" : "units";
-    values.push_back(Metric(name + ".count", static_cast<double>(snap.count), "samples"));
-    values.push_back(Metric(name + ".p50", snap.Percentile(0.50) * scale, property));
-    values.push_back(Metric(name + ".p95", snap.Percentile(0.95) * scale, property));
-    values.push_back(Metric(name + ".p99", snap.Percentile(0.99) * scale, property));
-    values.push_back(Metric(name + ".mean", snap.mean() * scale, property));
-  }
-  for (const auto& [name, value] : fleet.counters()) {
-    values.push_back(Metric(name, static_cast<double>(value), "count"));
-  }
-  return ReportShell("RequestLatency",
-                     "Fleet request latency and stage-timing histograms",
-                     std::move(values));
-}
-
-json::Json FleetResponseCacheReport(const FleetMetrics& fleet) {
-  const double hits = static_cast<double>(fleet.scalar("ResponseCache.Hits"));
-  const double misses = static_cast<double>(fleet.scalar("ResponseCache.Misses"));
-  const double hit_rate = hits + misses == 0.0 ? 0.0 : hits / (hits + misses);
-  const char* property = "fleet read path";
-  json::Array values;
-  values.push_back(Metric("CacheHits", hits, property));
-  values.push_back(Metric("CacheMisses", misses, property));
-  values.push_back(Metric("CacheEvictions",
-                          static_cast<double>(fleet.scalar("ResponseCache.Evictions")),
-                          property));
-  values.push_back(
-      Metric("CacheInvalidations",
-             static_cast<double>(fleet.scalar("ResponseCache.Invalidations")), property));
-  values.push_back(Metric("CacheHitRate", hit_rate, property));
-  return ReportShell("ResponseCache", "Fleet read-path response cache counters",
-                     std::move(values));
-}
-
-json::Json FleetResilienceReport(const FleetMetrics& fleet) {
-  json::Array values;
-  values.push_back(Metric("ReplayedPosts",
-                          static_cast<double>(fleet.scalar("Resilience.ReplayedPosts")),
-                          "idempotency replay cache"));
-  values.push_back(Metric("BreakersOpen",
-                          static_cast<double>(fleet.scalar("Resilience.BreakersOpen")),
-                          "fleet breakers"));
-  values.push_back(Metric("BreakersTotal",
-                          static_cast<double>(fleet.scalar("Resilience.BreakersTotal")),
-                          "fleet breakers"));
-  json::Array shards;
-  for (const auto& [shard_id, resilience] : fleet.shard_resilience()) {
-    json::Json entry = json::Json::Obj(
-        {{"ShardId", shard_id},
-         {"BreakersOpen", resilience.GetInt("BreakersOpen", 0)},
-         {"BreakersTotal", resilience.GetInt("BreakersTotal", 0)},
-         {"ReplayedPosts", resilience.GetInt("ReplayedPosts", 0)}});
-    if (resilience.at("Breakers").is_array()) {
-      entry.as_object().Set("Breakers", resilience.at("Breakers"));
-    }
-    shards.push_back(std::move(entry));
-  }
-  json::Json report = ReportShell("Resilience",
-                                  "Fleet circuit breaker and retry counters",
-                                  std::move(values));
-  report.as_object().Set(
-      "Oem", json::Json::Obj({{"Ofmf", json::Json::Obj({{"Shards",
-                                                         json::Json(std::move(shards))}})}}));
+  if (!degraded_.empty()) core::OfmfOem(report).Set("DegradedShards", Ids(degraded_));
   return report;
 }
 
-json::Json FleetEventDeliveryReport(const FleetMetrics& fleet) {
-  const char* engine = "fleet event delivery";
-  json::Array values;
-  const auto add = [&](const char* id, const char* key) {
-    values.push_back(Metric(id, static_cast<double>(fleet.scalar(key)), engine));
-  };
-  add("EventsDelivered", "EventDelivery.Delivered");
-  add("DeliveryBatches", "EventDelivery.Batches");
-  add("EventsCoalesced", "EventDelivery.Coalesced");
-  add("EventsDropped", "EventDelivery.Dropped");
-  add("DeliveryRetries", "EventDelivery.Retries");
-  add("DeliveryFailures", "EventDelivery.Failures");
-  add("QueuedEvents", "EventDelivery.QueuedEvents");
-  add("BreakersOpen", "EventDelivery.BreakersOpen");
-  add("StreamSubscribers", "EventDelivery.Streams");
-  return ReportShell("EventDelivery", "Fleet event fan-out delivery state",
-                     std::move(values));
+json::Json FleetMetrics::ToJson() const {
+  json::Json dump = core::RenderDump({"Shards", Ids(shards_)}, merged_);
+  if (!degraded_.empty()) core::OfmfOem(dump).Set("DegradedShards", Ids(degraded_));
+  return dump;
 }
 
 json::Json FleetHealthReport(const RoutingTable& table, const FleetHealthInputs& inputs) {
   json::Array values;
-  values.push_back(Metric("ShardsRegistered", static_cast<double>(table.shards.size()),
-                          "federation directory"));
-  values.push_back(Metric("ShardsAlive", static_cast<double>(table.AliveCount()),
-                          "federation directory"));
-  values.push_back(Metric("TableEpoch", static_cast<double>(table.epoch),
-                          "federation directory"));
-  values.push_back(Metric("DegradedResponses",
-                          static_cast<double>(inputs.degraded_responses),
-                          "router scatter-gather"));
-  values.push_back(Metric("MembersOmittedCount",
-                          static_cast<double>(inputs.members_omitted),
-                          "router scatter-gather"));
+  const auto add = [&values](const std::string& id, double value, const std::string& property) {
+    values.push_back(core::MetricEntry(id, value, property));
+  };
+  add("ShardsRegistered", static_cast<double>(table.shards.size()), "federation directory");
+  add("ShardsAlive", static_cast<double>(table.AliveCount()), "federation directory");
+  add("TableEpoch", static_cast<double>(table.epoch), "federation directory");
+  add("DegradedResponses", static_cast<double>(inputs.degraded_responses),
+      "router scatter-gather");
+  add("MembersOmittedCount", static_cast<double>(inputs.members_omitted),
+      "router scatter-gather");
   json::Array shards;
   for (const ShardInfo& shard : table.shards) {
-    values.push_back(Metric("ShardAlive." + shard.id, shard.alive ? 1.0 : 0.0, shard.id));
+    add("ShardAlive." + shard.id, shard.alive ? 1.0 : 0.0, shard.id);
     if (shard.heartbeat_age_ms >= 0) {
-      values.push_back(Metric("HeartbeatAgeMs." + shard.id,
-                              static_cast<double>(shard.heartbeat_age_ms), shard.id));
+      add("HeartbeatAgeMs." + shard.id, static_cast<double>(shard.heartbeat_age_ms), shard.id);
     }
     json::Json entry = json::Json::Obj(
         {{"ShardId", shard.id},
@@ -267,21 +81,15 @@ json::Json FleetHealthReport(const RoutingTable& table, const FleetHealthInputs&
          {"HeartbeatAgeMs", static_cast<std::int64_t>(shard.heartbeat_age_ms)}});
     if (shard.stats.is_object()) {
       entry.as_object().Set("Stats", shard.stats);
-      values.push_back(Metric("BreakersOpen." + shard.id,
-                              static_cast<double>(shard.stats.GetInt("BreakersOpen", 0)),
-                              shard.id));
+      add("BreakersOpen." + shard.id,
+          static_cast<double>(shard.stats.GetInt("BreakersOpen", 0)), shard.id);
     }
     shards.push_back(std::move(entry));
   }
-  json::Json report =
-      ReportShell("FleetHealth", "Per-shard liveness and self-reported health",
-                  std::move(values));
-  report.as_object().Set(
-      "Oem",
-      json::Json::Obj(
-          {{"Ofmf",
-            json::Json::Obj({{"Epoch", static_cast<std::int64_t>(table.epoch)},
-                             {"Shards", json::Json(std::move(shards))}})}}));
+  json::Json report = Served(core::ReportBody(
+      "FleetHealth", "Per-shard liveness and self-reported health", std::move(values)));
+  core::OfmfOem(report).Set("Epoch", static_cast<std::int64_t>(table.epoch));
+  core::OfmfOem(report).Set("Shards", json::Json(std::move(shards)));
   return report;
 }
 

@@ -1,58 +1,49 @@
-// Fleet telemetry aggregation for the federation router. Shards expose a
-// one-shot MetricsDump (histograms with raw log2 buckets, counters, cache /
-// trace / delivery / resilience sections); the router scatter-gathers those
-// dumps and this module merges them into fleet-wide metrics: histograms add
-// bucket-wise (percentiles are recomputed from the merged buckets — they do
-// not compose), counters and scalar sections add. The report builders below
-// synthesize router-served MetricReport documents from the merged state and
-// the routing table (the router has no ResourceTree of its own).
+// Fleet telemetry for the federation router. Shards expose a one-shot
+// MetricsDump; the router scatter-gathers those dumps, and FleetMetrics
+// parses and merges them into one core::TelemetrySnapshot (histograms merge
+// bucket-wise, so fleet percentiles are recomputed from the merged buckets;
+// counters add; high-water marks take the max). The gathered reports are the
+// shard report builders' fleet projections of that snapshot, so a fleet
+// report and the shard report of the same name share Id, MetricIds and
+// values. A shard that contributed no dump is named in
+// Oem.Ofmf.DegradedShards on every gathered document rather than silently
+// shrinking the totals. FleetHealth and the TelemetryService documents come
+// from the routing table (the router has no ResourceTree of its own).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "federation/routing.hpp"
 #include "json/value.hpp"
+#include "ofmf/telemetry.hpp"
 
 namespace ofmf::federation {
 
 /// Accumulator over per-shard MetricsDump documents.
 class FleetMetrics {
  public:
-  /// Folds one shard's MetricsDump in. Histogram entries without a Buckets
-  /// array are skipped (their percentiles cannot be merged honestly).
+  /// Folds one shard's MetricsDump in; a dump that does not parse lists the
+  /// shard as degraded instead.
   void Absorb(const std::string& shard_id, const json::Json& dump);
+  /// Lists a shard that contributed no dump (down, unreachable, or failed).
+  void Omit(const std::string& shard_id);
 
-  const std::vector<std::string>& shards() const { return shards_; }
-  const std::map<std::string, metrics::Histogram::Snapshot>& histograms() const {
-    return histograms_;
-  }
-  const std::map<std::string, std::uint64_t>& counters() const { return counters_; }
+  /// The gathered report `name` (RequestLatency, ResponseCache, Resilience or
+  /// EventDelivery) as the router serves it. Resilience keeps each shard's
+  /// breakers apart in Oem.Ofmf.Shards.
+  json::Json Report(const std::string& name) const;
 
-  /// Summed scalar sections, keyed "Section.Field" ("ResponseCache.Hits",
-  /// "EventDelivery.Dropped", "Resilience.BreakersOpen", ...). Rates are
-  /// excluded — recompute them from the summed numerators/denominators.
-  const std::map<std::string, std::uint64_t>& scalars() const { return scalars_; }
-  std::uint64_t scalar(const std::string& key) const;
-
-  /// Per-shard Resilience sections, verbatim, for per-shard breaker detail.
-  const std::vector<std::pair<std::string, json::Json>>& shard_resilience() const {
-    return resilience_;
-  }
-
-  /// Merged dump in the same shape as a shard MetricsDump, plus "Shards".
+  /// Merged dump: a shard MetricsDump's sections behind "Shards".
   json::Json ToJson() const;
 
  private:
   std::vector<std::string> shards_;
-  std::map<std::string, metrics::Histogram::Snapshot> histograms_;
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, std::uint64_t> scalars_;
-  std::vector<std::pair<std::string, json::Json>> resilience_;
+  std::vector<std::string> degraded_;
+  core::TelemetrySnapshot merged_;
+  std::vector<std::pair<std::string, core::ResilienceSnapshot>> resilience_;
 };
 
 /// Router-side inputs to the FleetHealth report that no shard can see.
@@ -61,12 +52,6 @@ struct FleetHealthInputs {
   std::uint64_t members_omitted = 0;     // members those responses lost
 };
 
-/// #MetricReport documents served directly by the router (each carries its
-/// own @odata.id/@odata.type since no tree decorates it).
-json::Json FleetRequestLatencyReport(const FleetMetrics& fleet);
-json::Json FleetResponseCacheReport(const FleetMetrics& fleet);
-json::Json FleetResilienceReport(const FleetMetrics& fleet);
-json::Json FleetEventDeliveryReport(const FleetMetrics& fleet);
 /// Per-shard liveness / heartbeat age / self-reported breaker state from the
 /// routing table, plus the router's own degradation counters.
 json::Json FleetHealthReport(const RoutingTable& table, const FleetHealthInputs& inputs);

@@ -1053,17 +1053,7 @@ std::optional<http::Response> FederationRouter::TelemetryIntercept(
         inputs.members_omitted = omitted_members_.load(std::memory_order_relaxed);
         return http::MakeJsonResponse(200, FleetHealthReport(table, inputs));
       }
-      const FleetMetrics fleet = GatherFleetMetrics(table);
-      if (name == "RequestLatency") {
-        return http::MakeJsonResponse(200, FleetRequestLatencyReport(fleet));
-      }
-      if (name == "ResponseCache") {
-        return http::MakeJsonResponse(200, FleetResponseCacheReport(fleet));
-      }
-      if (name == "Resilience") {
-        return http::MakeJsonResponse(200, FleetResilienceReport(fleet));
-      }
-      return http::MakeJsonResponse(200, FleetEventDeliveryReport(fleet));
+      return http::MakeJsonResponse(200, GatherFleetMetrics(table).Report(name));
     }
     return std::nullopt;
   }
@@ -1125,28 +1115,32 @@ std::optional<http::Response> FederationRouter::TelemetryIntercept(
 FleetMetrics FederationRouter::GatherFleetMetrics(const RoutingTable& table) {
   static const std::string kDumpTarget =
       std::string(kServiceRoot) + "/Actions/OfmfService.MetricsDump";
-  // Every live shard's one-shot dump in one batch; folded in shard order once
-  // all have landed.
+  // Every live shard's one-shot dump in one batch; folded in table order once
+  // all have landed. A shard that is down or gave no usable dump is listed
+  // as degraded, the same rule as an aggregated collection.
   std::vector<ShardCall> calls;
-  for (const ShardInfo& shard : table.shards) {
-    if (shard.alive) {
-      calls.push_back({&shard, http::MakeRequest(http::Method::kPost, kDumpTarget)});
-    }
+  std::vector<std::size_t> slot_of;  // table index of each call
+  for (std::size_t i = 0; i < table.shards.size(); ++i) {
+    if (!table.shards[i].alive) continue;
+    calls.push_back({&table.shards[i], http::MakeRequest(http::Method::kPost, kDumpTarget)});
+    slot_of.push_back(i);
   }
-  std::vector<const ShardInfo*> shards;
-  for (const ShardCall& call : calls) shards.push_back(call.shard);
-  std::vector<std::optional<json::Json>> docs(calls.size());
+  std::vector<std::optional<json::Json>> docs(table.shards.size());
   SendAll(std::move(calls), "router.metrics_fetch",
-          [&docs](std::size_t i, Result<http::Response>& response) {
+          [&](std::size_t call, Result<http::Response>& response) {
             if (!response.ok() || !response.value().ok()) return false;
             auto doc = json::Parse(response.value().body.view());
             if (!doc.ok() || !doc.value().is_object()) return false;
-            docs[i] = std::move(doc.value());
+            docs[slot_of[call]] = std::move(doc.value());
             return true;
           });
   FleetMetrics fleet;
   for (std::size_t i = 0; i < docs.size(); ++i) {
-    if (docs[i]) fleet.Absorb(shards[i]->id, *docs[i]);
+    if (docs[i]) {
+      fleet.Absorb(table.shards[i].id, *docs[i]);
+    } else {
+      fleet.Omit(table.shards[i].id);
+    }
   }
   return fleet;
 }

@@ -96,7 +96,8 @@ class FederationRouter {
   std::optional<http::Response> TelemetryIntercept(const http::Request& request,
                                                    const RoutingTable& table,
                                                    const std::string& path);
-  /// Scatter-gathers every live shard's MetricsDump into one FleetMetrics.
+  /// Scatter-gathers every live shard's MetricsDump into one FleetMetrics;
+  /// shards that contribute none are listed as degraded.
   FleetMetrics GatherFleetMetrics(const RoutingTable& table);
   std::vector<trace::SpanRecord> AssembleTraceSpans(std::uint64_t trace_id,
                                                     const RoutingTable& table);

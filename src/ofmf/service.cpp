@@ -73,7 +73,10 @@ OfmfService::OfmfService()
       sessions_(tree_),
       events_(tree_, clock_),
       tasks_(tree_, clock_),
-      telemetry_(tree_, events_, clock_),
+      telemetry_(tree_, events_, clock_,
+                 {[this] { return rest_.response_cache().stats(); },
+                  [this] { return events_.CollectDelivery(); },
+                  [this] { return CollectResilience(); }}),
       composition_(tree_, events_) {}
 
 Status OfmfService::BootstrapServiceRoot() {
@@ -271,82 +274,17 @@ void OfmfService::WireRoutes() {
                       {"Issues", json::Json(std::move(issues))}}));
       });
 
-  // One-shot observability dump: every histogram (with percentiles), every
-  // counter, the trace-recorder stats, and the read-path cache counters in
-  // one JSON document. Benches and operators scrape this instead of stitching
-  // MetricReports together.
+  // One-shot observability dump: every histogram (with percentiles and raw
+  // buckets), every counter, the trace-recorder stats, and the cache,
+  // delivery and breaker counters in one JSON document. Benches and
+  // operators scrape this instead of stitching MetricReports together, and
+  // the federation router merges these into its fleet reports.
   rest_.RegisterAction(
       "OfmfService.MetricsDump",
       [this](const std::string&, const json::Json&) -> http::Response {
-        json::Array histograms;
-        for (const metrics::Registry::NamedHistogram& entry :
-             metrics::Registry::instance().HistogramSnapshots()) {
-          // Raw log2 buckets travel with every histogram so the federation
-          // router can merge shard dumps bucket-wise (percentiles do not
-          // compose; buckets do).
-          // Pre-sized assignment, not push_back: GCC 12's
-          // -Wmaybe-uninitialized false-positives on vector relocation of
-          // the Json variant at -O2.
-          json::Array buckets(entry.snap.buckets.size());
-          for (std::size_t i = 0; i < entry.snap.buckets.size(); ++i) {
-            buckets[i] = static_cast<std::int64_t>(entry.snap.buckets[i]);
-          }
-          histograms.push_back(json::Json::Obj(
-              {{"Name", entry.name},
-               {"Count", static_cast<std::int64_t>(entry.snap.count)},
-               {"Sum", static_cast<std::int64_t>(entry.snap.sum)},
-               {"Mean", entry.snap.mean()},
-               {"P50", entry.snap.Percentile(0.50)},
-               {"P95", entry.snap.Percentile(0.95)},
-               {"P99", entry.snap.Percentile(0.99)},
-               {"Buckets", json::Json(std::move(buckets))}}));
-        }
-        json::Array counters;
-        for (const auto& [name, value] : metrics::Registry::instance().CounterValues()) {
-          counters.push_back(json::Json::Obj(
-              {{"Name", name}, {"Value", static_cast<std::int64_t>(value)}}));
-        }
-        const trace::TraceStats tstats = trace::TraceRecorder::instance().stats();
-        const redfish::ResponseCacheStats cstats = rest_.response_cache().stats();
-        const DeliverySnapshot dstats = events_.CollectDelivery();
         return http::MakeJsonResponse(
-            200,
-            json::Json::Obj(
-                {{"ShardId", shard_id_.empty() ? "ofmf" : shard_id_},
-                 {"Histograms", json::Json(std::move(histograms))},
-                 {"Counters", json::Json(std::move(counters))},
-                 {"Trace",
-                  json::Json::Obj(
-                      {{"SampledTraces", static_cast<std::int64_t>(tstats.sampled_traces)},
-                       {"SkippedTraces", static_cast<std::int64_t>(tstats.skipped_traces)},
-                       {"SpansRecorded", static_cast<std::int64_t>(tstats.spans_recorded)},
-                       {"SpansEvicted", static_cast<std::int64_t>(tstats.spans_evicted)},
-                       {"SlowTraces", static_cast<std::int64_t>(tstats.slow_traces)},
-                       {"RetainedTraces",
-                        static_cast<std::int64_t>(tstats.retained_traces)}})},
-                 {"ResponseCache",
-                  json::Json::Obj(
-                      {{"Hits", static_cast<std::int64_t>(cstats.hits)},
-                       {"Misses", static_cast<std::int64_t>(cstats.misses)},
-                       {"Evictions", static_cast<std::int64_t>(cstats.evictions)},
-                       {"Invalidations", static_cast<std::int64_t>(cstats.invalidations)},
-                       {"HitRate", cstats.hit_rate()}})},
-                 // The two sections below exist for the federation router's
-                 // fleet aggregation (counters add across shards).
-                 {"EventDelivery",
-                  json::Json::Obj(
-                      {{"Delivered", static_cast<std::int64_t>(dstats.delivered)},
-                       {"Batches", static_cast<std::int64_t>(dstats.batches)},
-                       {"Coalesced", static_cast<std::int64_t>(dstats.coalesced)},
-                       {"Dropped", static_cast<std::int64_t>(dstats.dropped)},
-                       {"Retries", static_cast<std::int64_t>(dstats.retries)},
-                       {"Failures", static_cast<std::int64_t>(dstats.failures)},
-                       {"QueuedEvents", static_cast<std::int64_t>(dstats.total_queued)},
-                       {"BreakersOpen", static_cast<std::int64_t>(dstats.breakers_open)},
-                       {"Streams", static_cast<std::int64_t>(dstats.streams)},
-                       {"LastSequence",
-                        static_cast<std::int64_t>(dstats.last_sequence)}})},
-                 {"Resilience", HealthStats()}}));
+            200, RenderDump({"ShardId", shard_id_.empty() ? "ofmf" : shard_id_},
+                            telemetry_.Collect()));
       });
 
   // This process's fragment of a (possibly cross-process) trace: the span
@@ -558,23 +496,10 @@ ResilienceSnapshot OfmfService::CollectResilience() const {
 }
 
 json::Json OfmfService::HealthStats() {
-  const ResilienceSnapshot resilience = CollectResilience();
-  std::int64_t open = 0;
-  json::Array breakers;
-  for (const ResilienceSnapshot::FabricBreaker& breaker : resilience.breakers) {
-    if (breaker.state != BreakerState::kClosed) ++open;
-    breakers.push_back(json::Json::Obj({{"FabricId", breaker.fabric_id},
-                                        {"State", to_string(breaker.state)},
-                                        {"Degraded", breaker.degraded}}));
-  }
-  const redfish::ResponseCacheStats cache = rest_.response_cache().stats();
-  return json::Json::Obj({
-      {"BreakersOpen", open},
-      {"BreakersTotal", static_cast<std::int64_t>(resilience.breakers.size())},
-      {"Breakers", json::Json(std::move(breakers))},
-      {"ReplayedPosts", static_cast<std::int64_t>(resilience.replayed_posts)},
-      {"CacheHitRate", cache.hit_rate()},
-  });
+  json::Json stats = json::Json::MakeObject();
+  AppendResilienceSummary(stats.as_object(), CollectResilience(), /*with_counts=*/false);
+  stats.as_object().Set("CacheHitRate", rest_.response_cache().stats().hit_rate());
+  return stats;
 }
 
 Status OfmfService::InjectedAgentFault(const std::string& fabric_id) {
@@ -932,21 +857,16 @@ http::Response OfmfService::Handle(const http::Request& request) {
       span.SetError();  // error trees are always retained for TraceDump
     }
   }
-  PeriodicReportRefresh();
-  return response;
-}
-
-void OfmfService::PeriodicReportRefresh() {
-  if (!metrics::Registry::instance().enabled()) return;
-  // Per-thread stride: no shared counter on the hot path, and each serving
-  // thread refreshes once per kReportRefreshInterval requests it handles.
+  // Every kReportRefreshInterval-th request a thread handles republishes the
+  // service-internal MetricReports, so passive ETag pollers see fresh data
+  // without a background thread. The stride is per thread: no shared counter
+  // on the hot path.
   thread_local std::uint64_t handled = 0;
-  if ((++handled & (kReportRefreshInterval - 1)) != 0) return;
-  (void)telemetry_.UpdateResponseCacheReport(rest_.response_cache().stats());
-  (void)telemetry_.UpdateResilienceReport(CollectResilience());
-  (void)telemetry_.UpdateRequestLatencyReport();
-  (void)telemetry_.UpdateEventDeliveryReport(events_.CollectDelivery());
-  (void)telemetry_.UpdateTenantQosReport();
+  if (metrics::Registry::instance().enabled() &&
+      (++handled & (kReportRefreshInterval - 1)) == 0) {
+    telemetry_.RefreshAll();
+  }
+  return response;
 }
 
 http::Response OfmfService::HandleInner(const http::Request& request) {
@@ -1020,49 +940,26 @@ http::Response OfmfService::HandleInner(const http::Request& request) {
 }
 
 http::Response OfmfService::Dispatch(const http::Request& request) {
+  const std::string path = http::NormalizePath(request.path);
   // TraceDump convenience: ?trace=<id> folds into the action body (action
   // handlers only see the body). An explicit body wins over the query.
   if (request.method == http::Method::kPost && request.body.view().empty()) {
     const auto trace_param = request.query.find("trace");
     if (trace_param != request.query.end() &&
-        strings::EndsWith(http::NormalizePath(request.path),
-                          "/Actions/OfmfService.TraceDump")) {
+        strings::EndsWith(path, "/Actions/OfmfService.TraceDump")) {
       const http::Request rewritten = http::MakeJsonRequest(
           http::Method::kPost, request.path,
           json::Json::Obj({{"TraceId", trace_param->second}}));
       return rest_.Handle(rewritten);
     }
   }
-  // Lazy refresh of the read-path cache counters: reading the ResponseCache
-  // MetricReport first syncs it from the live cache (no-op when the counters
-  // have not moved since the last sync; other telemetry reads are untouched).
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) == TelemetryService::ResponseCacheReportUri()) {
-    (void)telemetry_.UpdateResponseCacheReport(rest_.response_cache().stats());
-  }
-  // Same lazy pattern for the breaker/retry counters.
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) == TelemetryService::ResilienceReportUri()) {
-    (void)telemetry_.UpdateResilienceReport(CollectResilience());
-  }
-  // And for the event fan-out delivery report.
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) == TelemetryService::EventDeliveryReportUri()) {
-    (void)telemetry_.UpdateEventDeliveryReport(events_.CollectDelivery());
-  }
-  // And for the latency-histogram report. Reading the report does not move
-  // any histogram (the MetricReports subtree is excluded from the per-
-  // endpoint timers), so back-to-back scrapes with no traffic in between
-  // keep the same ETag and the second one is a 304.
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) ==
-          TelemetryService::RequestLatencyReportUri()) {
-    (void)telemetry_.UpdateRequestLatencyReport();
-  }
-  // And for the per-tenant fair-scheduling report.
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) == TelemetryService::TenantQosReportUri()) {
-    (void)telemetry_.UpdateTenantQosReport();
+  // Reading a service-internal MetricReport first republishes it from live
+  // state. Quiet: an unchanged report keeps its ETag, and reading a report
+  // moves no histogram (the MetricReports subtree is excluded from the
+  // per-endpoint timers), so back-to-back scrapes with no traffic in between
+  // make the second one a 304.
+  if (request.method == http::Method::kGet || request.method == http::Method::kHead) {
+    telemetry_.Refresh(path);
   }
 
   // Server-Sent-Events streaming subscription: the reactor's first
@@ -1073,7 +970,7 @@ http::Response OfmfService::Dispatch(const http::Request& request) {
   // outbox from then on. Transports without a streamable connection (the
   // in-process client) just see the head. Optional ?EventTypes=a,b filters.
   if (request.method == http::Method::kGet &&
-      http::NormalizePath(request.path) == kEventServiceSse) {
+      path == kEventServiceSse) {
     std::vector<std::string> event_types;
     const auto filter = request.query.find("EventTypes");
     if (filter != request.query.end()) {
@@ -1098,7 +995,7 @@ http::Response OfmfService::Dispatch(const http::Request& request) {
   // that re-evaluates the gate when it runs (congestion may have drained by
   // then); synchronous clients get an explicit 503 + Retry-After.
   if (request.method == http::Method::kPost &&
-      http::NormalizePath(request.path) == kSystems) {
+      path == kSystems) {
     Result<json::Json> body = request.JsonBody();
     const json::Json* blocks =
         body.ok() ? json::ResolvePointerRef(*body, "/Links/ResourceBlocks") : nullptr;
@@ -1172,7 +1069,7 @@ http::Response OfmfService::Dispatch(const http::Request& request) {
   // is validated lazily by the deferred composition; the client gets a Task
   // monitor immediately (202) and polls it.
   if (request.method == http::Method::kPost &&
-      http::NormalizePath(request.path) == kSystems &&
+      path == kSystems &&
       request.headers.GetOr("Prefer", "").find("respond-async") != std::string::npos) {
     Result<json::Json> body = request.JsonBody();
     if (!body.ok()) return redfish::ErrorResponse(body.status());
@@ -1210,7 +1107,7 @@ http::Response OfmfService::Dispatch(const http::Request& request) {
   // Session creation: must run before generic dispatch so the response can
   // carry the X-Auth-Token header.
   if (request.method == http::Method::kPost &&
-      http::NormalizePath(request.path) == kSessions) {
+      path == kSessions) {
     Result<json::Json> body = request.JsonBody();
     if (!body.ok()) return redfish::ErrorResponse(body.status());
     Result<SessionInfo> session =

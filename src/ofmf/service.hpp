@@ -88,7 +88,7 @@ class OfmfService {
   }
 
   /// Per-thread request stride between piggybacked MetricReport refreshes
-  /// (power of two; see PeriodicReportRefresh).
+  /// (power of two; see Handle).
   static constexpr std::uint64_t kReportRefreshInterval = 1024;
 
   redfish::ResourceTree& tree() { return tree_; }
@@ -164,16 +164,6 @@ class OfmfService {
   /// periodic telemetry refresh): auth, replay cache, dispatch, upkeep.
   http::Response HandleInner(const http::Request& request);
   http::Response Dispatch(const http::Request& request);
-
-  /// Every kReportRefreshInterval-th request a thread handles piggybacks a
-  /// refresh of the internal MetricReports (ResponseCache, Resilience,
-  /// RequestLatency), so the reports stay current without a background
-  /// thread. The stride is per thread (a thread-local counter keeps the hot
-  /// path free of shared-cache-line traffic), the registry-disabled
-  /// configuration skips it entirely, and scrape GETs refresh lazily anyway
-  /// — the periodic pass only serves passive ETag pollers. The quiet-update
-  /// fingerprints make a refresh free when nothing moved.
-  void PeriodicReportRefresh();
 
   /// Authentication gate, run by Handle() before anything else (including
   /// the replay-cache lookup, so a cached response can never leak past a

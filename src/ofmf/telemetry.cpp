@@ -1,13 +1,422 @@
 #include "ofmf/telemetry.hpp"
 
-#include "common/metrics.hpp"
+#include <algorithm>
+#include <optional>
+
+#include "common/strings.hpp"
 #include "ofmf/uris.hpp"
 
 namespace ofmf::core {
+namespace {
+
+// Every scalar MetricsDump field as (section, name, field), one list shared
+// by the renderer, the parser and the merge. `fn` gets the same field of
+// every snapshot passed in. Totals add across shards; the delivery
+// high-water marks take the larger value.
+enum class Fold { kSum, kMax };
+template <typename Fn, typename... S>
+void ScalarFields(Fn&& fn, S&... s) {
+  fn("Trace", "SampledTraces", Fold::kSum, s.trace.sampled_traces...);
+  fn("Trace", "SkippedTraces", Fold::kSum, s.trace.skipped_traces...);
+  fn("Trace", "SpansRecorded", Fold::kSum, s.trace.spans_recorded...);
+  fn("Trace", "SpansEvicted", Fold::kSum, s.trace.spans_evicted...);
+  fn("Trace", "SlowTraces", Fold::kSum, s.trace.slow_traces...);
+  fn("Trace", "RetainedTraces", Fold::kSum, s.trace.retained_traces...);
+  fn("ResponseCache", "Hits", Fold::kSum, s.cache.hits...);
+  fn("ResponseCache", "Misses", Fold::kSum, s.cache.misses...);
+  fn("ResponseCache", "Evictions", Fold::kSum, s.cache.evictions...);
+  fn("ResponseCache", "Invalidations", Fold::kSum, s.cache.invalidations...);
+  fn("EventDelivery", "Delivered", Fold::kSum, s.delivery.delivered...);
+  fn("EventDelivery", "Batches", Fold::kSum, s.delivery.batches...);
+  fn("EventDelivery", "Coalesced", Fold::kSum, s.delivery.coalesced...);
+  fn("EventDelivery", "Dropped", Fold::kSum, s.delivery.dropped...);
+  fn("EventDelivery", "Retries", Fold::kSum, s.delivery.retries...);
+  fn("EventDelivery", "Failures", Fold::kSum, s.delivery.failures...);
+  fn("EventDelivery", "QueuedEvents", Fold::kSum, s.delivery.total_queued...);
+  fn("EventDelivery", "BreakersOpen", Fold::kSum, s.delivery.breakers_open...);
+  fn("EventDelivery", "Streams", Fold::kSum, s.delivery.streams...);
+  fn("EventDelivery", "LastSequence", Fold::kMax, s.delivery.last_sequence...);
+  fn("EventDelivery", "MaxQueueDepth", Fold::kMax, s.delivery.max_queue_depth...);
+  fn("EventDelivery", "MaxCursorLag", Fold::kMax, s.delivery.max_cursor_lag...);
+}
+
+template <typename Fn, typename Stats>
+void BreakerCounts(Fn&& fn, Stats& stats) {
+  fn("Successes", stats.successes);
+  fn("Failures", stats.failures);
+  fn("Rejected", stats.rejected);
+  fn("Opens", stats.opens);
+  fn("Closes", stats.closes);
+}
+
+/// A dump count: a missing member reads as 0; a negative or non-integer one
+/// is invalid.
+std::optional<std::uint64_t> Count(const json::Json& value) {
+  if (value.is_null()) return 0;
+  if (!value.is_int() || value.as_int() < 0) return std::nullopt;
+  return static_cast<std::uint64_t>(value.as_int());
+}
+
+const json::Array& Items(const json::Json& value) {
+  static const json::Array kNone;
+  return value.is_array() ? value.as_array() : kNone;
+}
+
+/// Rebuilds a histogram from a dump entry; false when a bucket or the Sum is
+/// invalid. The count is derived from the buckets (by Merge), never trusted
+/// from the wire, so a merge of already-merged dumps stays self-consistent.
+bool ParseHistogram(const json::Json& entry, metrics::Histogram::Snapshot* out) {
+  const json::Json& buckets = entry.at("Buckets");
+  const std::optional<std::uint64_t> sum = Count(entry.at("Sum"));
+  if (!buckets.is_array() || !sum) return false;
+  const std::size_t n =
+      std::min<std::size_t>(buckets.as_array().size(), metrics::Histogram::kBuckets);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::optional<std::uint64_t> bucket = Count(buckets.as_array()[i]);
+    if (!bucket) return false;
+    out->buckets[i] = *bucket;
+  }
+  out->sum = *sum;
+  return true;
+}
+
+std::uint64_t OpenBreakers(const ResilienceSnapshot& snapshot) {
+  std::uint64_t open = 0;
+  for (const auto& breaker : snapshot.breakers) open += breaker.state != BreakerState::kClosed;
+  return open;
+}
+
+json::Json BreakerList(const ResilienceSnapshot& snapshot, bool with_counts) {
+  json::Array list;
+  for (const ResilienceSnapshot::FabricBreaker& breaker : snapshot.breakers) {
+    json::Json entry = json::Json::Obj({{"FabricId", breaker.fabric_id},
+                                        {"State", to_string(breaker.state)},
+                                        {"Degraded", breaker.degraded}});
+    if (with_counts) {
+      BreakerCounts([&entry](const char* name, std::uint64_t count) {
+        entry.as_object().Set(name, count);
+      }, breaker.stats);
+    }
+    list.push_back(std::move(entry));
+  }
+  return json::Json(std::move(list));
+}
+
+/// Appends one MetricValues entry (counts convert to the double MetricValue).
+void Add(json::Array& values, const std::string& id, double value,
+         const std::string& property) {
+  values.push_back(MetricEntry(id, value, property));
+}
+
+/// count, p50, p95, p99 (and mean) of one histogram. Latency series record
+/// nanoseconds by convention and report milliseconds; size-valued series
+/// (".records", ".bytes") pass through unscaled.
+void AddHistogram(json::Array& values, const std::string& name,
+                  const metrics::Histogram::Snapshot& snap, bool with_mean) {
+  const bool is_ns =
+      strings::EndsWith(name, ".ns") || strings::StartsWith(name, "http.latency.");
+  const double scale = is_ns ? 1e-6 : 1.0;
+  const std::string property = is_ns ? "milliseconds" : "units";
+  Add(values, name + ".count", snap.count, "samples");
+  Add(values, name + ".p50", snap.Percentile(0.50) * scale, property);
+  Add(values, name + ".p95", snap.Percentile(0.95) * scale, property);
+  Add(values, name + ".p99", snap.Percentile(0.99) * scale, property);
+  if (with_mean) Add(values, name + ".mean", snap.mean() * scale, property);
+}
+
+// ------------------------------------------------------------- builders --
+
+json::Json ResponseCacheReport(const TelemetrySnapshot& snapshot, ReportScope scope) {
+  const bool fleet = scope == ReportScope::kFleet;
+  const std::string property = fleet ? "fleet read path" : "/redfish/v1 read path";
+  const redfish::ResponseCacheStats& cache = snapshot.cache;
+  json::Array values;
+  Add(values, "CacheHits", cache.hits, property);
+  Add(values, "CacheMisses", cache.misses, property);
+  Add(values, "CacheEvictions", cache.evictions, property);
+  Add(values, "CacheInvalidations", cache.invalidations, property);
+  Add(values, "CacheHitRate", cache.hit_rate(), property);
+  return ReportBody("ResponseCache",
+                    fleet ? "Fleet read-path response cache counters"
+                          : "Read-path serialized-response cache counters",
+                    std::move(values));
+}
+
+json::Json ResilienceReport(const TelemetrySnapshot& snapshot, ReportScope scope) {
+  const bool fleet = scope == ReportScope::kFleet;
+  const ResilienceSnapshot& resilience = snapshot.resilience;
+  json::Array values;
+  Add(values, "ReplayedPosts", resilience.replayed_posts, "idempotency replay cache");
+  if (fleet) {
+    Add(values, "BreakersOpen", OpenBreakers(resilience), "fleet breakers");
+    Add(values, "BreakersTotal", resilience.breakers.size(), "fleet breakers");
+  }
+  for (const ResilienceSnapshot::FabricBreaker& breaker : resilience.breakers) {
+    BreakerCounts([&](const char* name, std::uint64_t count) {
+      Add(values, std::string("Breaker") + name + "." + breaker.fabric_id, count,
+          FabricUri(breaker.fabric_id));
+    }, breaker.stats);
+  }
+  json::Json report = ReportBody(
+      "Resilience",
+      fleet ? "Fleet circuit breaker and retry counters" : "Circuit breaker and retry counters",
+      std::move(values));
+  if (!fleet) {
+    OfmfOem(report).Set("Breakers", BreakerList(resilience, false));
+  }
+  return report;
+}
+
+json::Json RequestLatencyReport(const TelemetrySnapshot& snapshot, ReportScope scope) {
+  json::Array values;
+  for (const auto& [name, snap] : snapshot.histograms) {
+    AddHistogram(values, name, snap, /*with_mean=*/true);
+  }
+  for (const auto& [name, value] : snapshot.counters) Add(values, name, value, "count");
+  return ReportBody("RequestLatency",
+                    scope == ReportScope::kFleet
+                        ? "Fleet request latency and stage-timing histograms"
+                        : "Request latency and stage-timing histograms",
+                    std::move(values));
+}
+
+json::Json EventDeliveryReport(const TelemetrySnapshot& snapshot, ReportScope scope) {
+  const bool fleet = scope == ReportScope::kFleet;
+  const DeliverySnapshot& delivery = snapshot.delivery;
+  const std::string engine = fleet ? "fleet event delivery" : "event delivery engine";
+  json::Array values;
+  Add(values, "EventsDelivered", delivery.delivered, engine);
+  Add(values, "DeliveryBatches", delivery.batches, engine);
+  Add(values, "EventsCoalesced", delivery.coalesced, engine);
+  Add(values, "EventsDropped", delivery.dropped, engine);
+  Add(values, "DeliveryRetries", delivery.retries, engine);
+  Add(values, "DeliveryFailures", delivery.failures, engine);
+  Add(values, "QueuedEvents", delivery.total_queued, engine);
+  Add(values, "MaxQueueDepth", delivery.max_queue_depth, engine);
+  Add(values, "MaxCursorLag", delivery.max_cursor_lag, engine);
+  Add(values, "BreakersOpen", delivery.breakers_open, engine);
+  Add(values, "StreamSubscribers", delivery.streams, engine);
+  json::Array subscribers;
+  for (const SubscriberSnapshot& subscriber : delivery.subscribers) {
+    const std::string& uri = subscriber.uri;
+    Add(values, "QueueDepth." + uri, subscriber.queue_depth, uri);
+    Add(values, "CursorLag." + uri, subscriber.cursor_lag, uri);
+    Add(values, "Queued." + uri, subscriber.enqueued, uri);
+    Add(values, "Delivered." + uri, subscriber.delivered, uri);
+    Add(values, "Dropped." + uri, subscriber.dropped, uri);
+    Add(values, "Retries." + uri, subscriber.retries, uri);
+    Add(values, "BreakerOpen." + uri, subscriber.breaker_state == BreakerState::kClosed ? 0 : 1,
+        uri);
+    subscribers.push_back(json::Json::Obj(
+        {{"Subscription", uri},
+         {"Destination", subscriber.destination},
+         {"Stream", subscriber.stream},
+         {"QueueDepth", subscriber.queue_depth},
+         {"Enqueued", subscriber.enqueued},
+         {"Delivered", subscriber.delivered},
+         {"Batches", subscriber.batches},
+         {"Coalesced", subscriber.coalesced},
+         {"Dropped", subscriber.dropped},
+         {"Retries", subscriber.retries},
+         {"Failures", subscriber.failures},
+         {"AckedSequence", subscriber.acked_sequence},
+         {"CursorLag", subscriber.cursor_lag},
+         {"BreakerState", to_string(subscriber.breaker_state)},
+         {"BreakerOpens", subscriber.breaker_stats.opens},
+         {"BreakerCloses", subscriber.breaker_stats.closes},
+         {"BreakerRejected", subscriber.breaker_stats.rejected}}));
+  }
+  json::Json report = ReportBody(
+      "EventDelivery",
+      fleet ? "Fleet event fan-out delivery state" : "Event fan-out delivery state",
+      std::move(values));
+  if (!fleet) {
+    OfmfOem(report).Set("LastSequence", delivery.last_sequence);
+    OfmfOem(report).Set("Subscribers", json::Json(std::move(subscribers)));
+  }
+  return report;
+}
+
+/// Shard only: scheduler counters come from the reactor that serves the
+/// shard, so the router has no fleet TenantQoS report.
+json::Json TenantQosReport(const TelemetrySnapshot& snapshot, ReportScope /*scope*/) {
+  json::Array values;
+  json::Array tenants;
+  for (const qos::TenantStats& tenant : snapshot.tenants) {
+    json::Json entry = json::Json::Obj({{"Tenant", tenant.id}, {"Weight", tenant.weight}});
+    const std::pair<const char*, std::uint64_t> counts[] = {
+        {"QueueDepth", tenant.queued}, {"Admitted", tenant.admitted},
+        {"Dispatched", tenant.dispatched}, {"RateLimited", tenant.rate_limited},
+        {"QueueRejected", tenant.queue_rejected}};
+    for (const auto& [name, value] : counts) {
+      Add(values, std::string(name) + "." + tenant.id, value, tenant.id);
+      entry.as_object().Set(name, value);
+    }
+    tenants.push_back(std::move(entry));
+  }
+  // Per-tenant latency lives in the shared registry under a fixed prefix so
+  // the reactor never needs a back-pointer into telemetry.
+  for (const auto& [name, snap] : snapshot.histograms) {
+    if (strings::StartsWith(name, "http.tenant.")) {
+      AddHistogram(values, name, snap, /*with_mean=*/false);
+    }
+  }
+  json::Json report = ReportBody("TenantQoS", "Per-tenant fair-scheduling and admission state",
+                                 std::move(values));
+  OfmfOem(report).Set("Tenants", json::Json(std::move(tenants)));
+  return report;
+}
+
+// What Collect reads. The registry source is the process-global histograms,
+// counters and trace stats.
+enum Source : unsigned {
+  kRegistrySource = 1,
+  kCacheSource = 2,
+  kDeliverySource = 4,
+  kResilienceSource = 8,
+  kTenantSource = 16,
+};
+
+/// The service-internal reports, in refresh order: what each reads, and
+/// how it is drawn.
+struct ServiceReport {
+  const char* id;
+  unsigned sources;
+  ReportBuilder build;
+};
+constexpr ServiceReport kServiceReports[] = {
+    {"ResponseCache", kCacheSource, &ResponseCacheReport},
+    {"Resilience", kResilienceSource, &ResilienceReport},
+    {"RequestLatency", kRegistrySource, &RequestLatencyReport},
+    {"EventDelivery", kDeliverySource, &EventDeliveryReport},
+    {"TenantQoS", kRegistrySource | kTenantSource, &TenantQosReport},
+};
+
+}  // namespace
+
+ReportBuilder FindReportBuilder(std::string_view report_id) {
+  for (const ServiceReport& report : kServiceReports) {
+    if (report_id == report.id) return report.build;
+  }
+  return nullptr;
+}
+
+json::Json ReportBody(const std::string& id, const std::string& name, json::Array values) {
+  return json::Json::Obj({{"Id", id},
+                          {"Name", name},
+                          {"ReportSequence", 0},
+                          {"MetricValues", json::Json(std::move(values))}});
+}
+
+json::Json MetricEntry(const std::string& id, double value, const std::string& property) {
+  return json::Json::Obj(
+      {{"MetricId", id}, {"MetricValue", value}, {"MetricProperty", property}});
+}
+
+json::Object& OfmfOem(json::Json& doc) {
+  json::Json& oem = doc["Oem"];
+  if (!oem.is_object()) oem = json::Json::MakeObject();
+  json::Json& ofmf = oem["Ofmf"];
+  if (!ofmf.is_object()) ofmf = json::Json::MakeObject();
+  return ofmf.as_object();
+}
+
+void AppendResilienceSummary(json::Object& into, const ResilienceSnapshot& snapshot,
+                             bool with_counts) {
+  into.Set("BreakersOpen", OpenBreakers(snapshot));
+  into.Set("BreakersTotal", snapshot.breakers.size());
+  into.Set("ReplayedPosts", snapshot.replayed_posts);
+  into.Set("Breakers", BreakerList(snapshot, with_counts));
+}
+
+// ------------------------------------------------------------ the dump --
+
+void TelemetrySnapshot::Merge(const TelemetrySnapshot& other) {
+  for (const auto& [name, snap] : other.histograms) histograms[name].Merge(snap);
+  for (const auto& [name, value] : other.counters) counters[name] += value;
+  ScalarFields([](const char*, const char*, Fold fold, auto& into, const auto& from) {
+    into = fold == Fold::kMax ? std::max(into, from) : into + from;
+  }, *this, other);
+  resilience.breakers.insert(resilience.breakers.end(), other.resilience.breakers.begin(),
+                             other.resilience.breakers.end());
+  resilience.replayed_posts += other.resilience.replayed_posts;
+}
+
+json::Json RenderDump(json::Member head, const TelemetrySnapshot& snapshot) {
+  json::Array histograms;
+  for (const auto& [name, snap] : snapshot.histograms) {
+    // Pre-sized assignment, not push_back: GCC 12's -Wmaybe-uninitialized
+    // false-positives on vector relocation of the Json variant at -O2.
+    json::Array buckets(snap.buckets.size());
+    for (std::size_t i = 0; i < snap.buckets.size(); ++i) buckets[i] = snap.buckets[i];
+    histograms.push_back(json::Json::Obj({{"Name", name},
+                                          {"Count", snap.count},
+                                          {"Sum", snap.sum},
+                                          {"Mean", snap.mean()},
+                                          {"P50", snap.Percentile(0.50)},
+                                          {"P95", snap.Percentile(0.95)},
+                                          {"P99", snap.Percentile(0.99)},
+                                          {"Buckets", json::Json(std::move(buckets))}}));
+  }
+  json::Array counters;
+  for (const auto& [name, value] : snapshot.counters) {
+    counters.push_back(json::Json::Obj({{"Name", name}, {"Value", value}}));
+  }
+  json::Json dump = json::Json::Obj({std::move(head),
+                                     {"Histograms", json::Json(std::move(histograms))},
+                                     {"Counters", json::Json(std::move(counters))}});
+  ScalarFields([&dump](const char* section, const char* name, Fold, std::uint64_t value) {
+    json::Json& fields = dump[section];
+    if (!fields.is_object()) fields = json::Json::MakeObject();
+    fields.as_object().Set(name, value);
+  }, snapshot);
+  dump["ResponseCache"].as_object().Set("HitRate", snapshot.cache.hit_rate());
+  json::Json& resilience = dump["Resilience"];
+  resilience = json::Json::MakeObject();
+  AppendResilienceSummary(resilience.as_object(), snapshot.resilience, /*with_counts=*/true);
+  return dump;
+}
+
+Result<TelemetrySnapshot> ParseDump(const json::Json& dump) {
+  if (!dump.is_object()) return Status::InvalidArgument("MetricsDump is not an object");
+  TelemetrySnapshot snapshot;
+  for (const json::Json& entry : Items(dump.at("Histograms"))) {
+    const std::string name = entry.GetString("Name");
+    metrics::Histogram::Snapshot snap;
+    if (!name.empty() && ParseHistogram(entry, &snap)) snapshot.histograms[name].Merge(snap);
+  }
+  for (const json::Json& entry : Items(dump.at("Counters"))) {
+    const std::string name = entry.GetString("Name");
+    const std::optional<std::uint64_t> value = Count(entry.at("Value"));
+    if (!name.empty() && value) snapshot.counters[name] += *value;
+  }
+  ScalarFields([&dump](const char* section, const char* name, Fold, auto& field) {
+    field = Count(dump.at(section).at(name)).value_or(0);
+  }, snapshot);
+  const json::Json& resilience = dump.at("Resilience");
+  snapshot.resilience.replayed_posts = Count(resilience.at("ReplayedPosts")).value_or(0);
+  for (const json::Json& entry : Items(resilience.at("Breakers"))) {
+    ResilienceSnapshot::FabricBreaker breaker;
+    breaker.fabric_id = entry.GetString("FabricId");
+    const std::string state = entry.GetString("State");
+    for (BreakerState candidate :
+         {BreakerState::kClosed, BreakerState::kOpen, BreakerState::kHalfOpen}) {
+      if (state == to_string(candidate)) breaker.state = candidate;
+    }
+    breaker.degraded = entry.GetBool("Degraded");
+    BreakerCounts([&entry](const char* name, std::uint64_t& count) {
+      count = Count(entry.at(name)).value_or(0);
+    }, breaker.stats);
+    snapshot.resilience.breakers.push_back(std::move(breaker));
+  }
+  return snapshot;
+}
+
+// ---------------------------------------------------- TelemetryService --
 
 TelemetryService::TelemetryService(redfish::ResourceTree& tree, EventService& events,
-                                   SimClock& clock)
-    : tree_(tree), events_(events), clock_(clock) {}
+                                   SimClock& clock, TelemetrySources sources)
+    : tree_(tree), events_(events), clock_(clock), sources_(std::move(sources)) {}
 
 Status TelemetryService::Bootstrap() {
   OFMF_RETURN_IF_ERROR(tree_.Create(
@@ -21,10 +430,21 @@ Status TelemetryService::Bootstrap() {
       kMetricReports, "#MetricReportCollection.MetricReportCollection", "Metric Reports");
 }
 
+std::string TelemetryService::ReportUri(std::string_view report_id) {
+  return std::string(kMetricReports) + "/" + std::string(report_id);
+}
+
+Status TelemetryService::Store(const std::string& report_id, json::Json payload) {
+  const std::string uri = ReportUri(report_id);
+  if (tree_.Exists(uri)) return tree_.Replace(uri, std::move(payload));
+  OFMF_RETURN_IF_ERROR(
+      tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
+  return tree_.AddMember(kMetricReports, uri);
+}
+
 Status TelemetryService::PushReport(const std::string& report_id,
                                     const std::vector<MetricValue>& values) {
   if (report_id.empty()) return Status::InvalidArgument("report id must be non-empty");
-  const std::string uri = std::string(kMetricReports) + "/" + report_id;
   json::Array metric_values;
   for (const MetricValue& value : values) {
     json::Json entry = json::Json::Obj({{"MetricId", value.metric_id},
@@ -35,454 +455,82 @@ Status TelemetryService::PushReport(const std::string& report_id,
     }
     metric_values.push_back(std::move(entry));
   }
-  json::Json payload = json::Json::Obj({
-      {"Id", report_id},
-      {"Name", "Metric report " + report_id},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(metric_values))},
-  });
-  if (tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
+  OFMF_RETURN_IF_ERROR(Store(report_id, ReportBody(report_id, "Metric report " + report_id,
+                                                   std::move(metric_values))));
   Event event;
   event.event_type = "MetricReport";
   event.message_id = "TelemetryService.1.0.MetricReportUpdated";
   event.message = "metric report " + report_id + " updated";
-  event.origin = uri;
+  event.origin = ReportUri(report_id);
   events_.Publish(event);
   return Status::Ok();
 }
 
-std::string TelemetryService::ResponseCacheReportUri() {
-  return std::string(kMetricReports) + "/ResponseCache";
-}
-
-Status TelemetryService::UpdateResponseCacheReport(
-    const redfish::ResponseCacheStats& stats) {
-  std::lock_guard<std::mutex> lock(cache_report_mu_);
-  if (cache_report_exists_ && stats.hits == last_cache_stats_.hits &&
-      stats.misses == last_cache_stats_.misses &&
-      stats.evictions == last_cache_stats_.evictions &&
-      stats.invalidations == last_cache_stats_.invalidations) {
-    return Status::Ok();
-  }
-  const std::string uri = ResponseCacheReportUri();
-  const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto counter = [&](const char* id, double value) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", "/redfish/v1 read path"},
-                            {"Timestamp", timestamp}});
-  };
-  json::Json payload = json::Json::Obj({
-      {"Id", "ResponseCache"},
-      {"Name", "Read-path serialized-response cache counters"},
-      {"ReportSequence", 0},
-      {"MetricValues",
-       json::Json::Arr({counter("CacheHits", static_cast<double>(stats.hits)),
-                        counter("CacheMisses", static_cast<double>(stats.misses)),
-                        counter("CacheEvictions", static_cast<double>(stats.evictions)),
-                        counter("CacheInvalidations",
-                                static_cast<double>(stats.invalidations)),
-                        counter("CacheHitRate", stats.hit_rate())})},
-  });
-  if (cache_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  cache_report_exists_ = true;
-  last_cache_stats_ = stats;
-  return Status::Ok();
-}
-
-std::string TelemetryService::ResilienceReportUri() {
-  return std::string(kMetricReports) + "/Resilience";
-}
-
-Status TelemetryService::UpdateResilienceReport(const ResilienceSnapshot& snapshot) {
-  // Fingerprint excludes timestamps so an unchanged snapshot leaves the
-  // report's version (and every cached response of it) alone.
-  std::string fingerprint = std::to_string(snapshot.replayed_posts);
-  for (const ResilienceSnapshot::FabricBreaker& breaker : snapshot.breakers) {
-    fingerprint += "|" + breaker.fabric_id + ":" + to_string(breaker.state) + ":" +
-                   std::to_string(breaker.stats.successes) + ":" +
-                   std::to_string(breaker.stats.failures) + ":" +
-                   std::to_string(breaker.stats.rejected) + ":" +
-                   std::to_string(breaker.stats.opens) + ":" +
-                   std::to_string(breaker.stats.closes) + ":" +
-                   (breaker.degraded ? "1" : "0");
-  }
-  std::lock_guard<std::mutex> lock(resilience_report_mu_);
-  if (resilience_report_exists_ && fingerprint == last_resilience_fingerprint_) {
-    return Status::Ok();
-  }
-
-  const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto counter = [&](const std::string& id, double value,
-                           const std::string& property) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", property},
-                            {"Timestamp", timestamp}});
-  };
-  json::Array values;
-  values.push_back(counter("ReplayedPosts", static_cast<double>(snapshot.replayed_posts),
-                           "idempotency replay cache"));
-  json::Array breakers;
-  for (const ResilienceSnapshot::FabricBreaker& breaker : snapshot.breakers) {
-    const std::string property = FabricUri(breaker.fabric_id);
-    values.push_back(counter("BreakerSuccesses." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.successes), property));
-    values.push_back(counter("BreakerFailures." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.failures), property));
-    values.push_back(counter("BreakerRejected." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.rejected), property));
-    values.push_back(counter("BreakerOpens." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.opens), property));
-    values.push_back(counter("BreakerCloses." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.closes), property));
-    breakers.push_back(json::Json::Obj({{"FabricId", breaker.fabric_id},
-                                        {"State", to_string(breaker.state)},
-                                        {"Degraded", breaker.degraded}}));
-  }
-  json::Json payload = json::Json::Obj({
-      {"Id", "Resilience"},
-      {"Name", "Circuit breaker and retry counters"},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-      {"Oem",
-       json::Json::Obj({{"Ofmf", json::Json::Obj({{"Breakers",
-                                                   json::Json(std::move(breakers))}})}})},
-  });
-  const std::string uri = ResilienceReportUri();
-  if (resilience_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  resilience_report_exists_ = true;
-  last_resilience_fingerprint_ = std::move(fingerprint);
-  return Status::Ok();
-}
-
-std::string TelemetryService::EventDeliveryReportUri() {
-  return std::string(kMetricReports) + "/EventDelivery";
-}
-
-Status TelemetryService::UpdateEventDeliveryReport(const DeliverySnapshot& snapshot) {
-  // Fingerprint excludes timestamps so an unchanged snapshot leaves the
-  // report's version (and every cached response of it) alone.
-  std::string fingerprint = std::to_string(snapshot.last_sequence) + "|" +
-                            std::to_string(snapshot.total_queued) + "|" +
-                            std::to_string(snapshot.delivered) + "|" +
-                            std::to_string(snapshot.dropped) + "|" +
-                            std::to_string(snapshot.retries) + "|" +
-                            std::to_string(snapshot.failures) + "|" +
-                            std::to_string(snapshot.breakers_open);
-  for (const SubscriberSnapshot& subscriber : snapshot.subscribers) {
-    fingerprint += "|" + subscriber.uri + ":" +
-                   std::to_string(subscriber.queue_depth) + ":" +
-                   std::to_string(subscriber.enqueued) + ":" +
-                   std::to_string(subscriber.delivered) + ":" +
-                   std::to_string(subscriber.batches) + ":" +
-                   std::to_string(subscriber.coalesced) + ":" +
-                   std::to_string(subscriber.dropped) + ":" +
-                   std::to_string(subscriber.retries) + ":" +
-                   std::to_string(subscriber.failures) + ":" +
-                   std::to_string(subscriber.cursor_lag) + ":" +
-                   std::to_string(subscriber.breaker_stats.opens) + ":" +
-                   to_string(subscriber.breaker_state);
-  }
-  std::lock_guard<std::mutex> lock(delivery_report_mu_);
-  if (delivery_report_exists_ && fingerprint == last_delivery_fingerprint_) {
-    return Status::Ok();
-  }
-
-  const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto counter = [&](const std::string& id, double value,
-                           const std::string& property) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", property},
-                            {"Timestamp", timestamp}});
-  };
-  json::Array values;
-  const char* engine = "event delivery engine";
-  values.push_back(counter("EventsDelivered", static_cast<double>(snapshot.delivered), engine));
-  values.push_back(counter("DeliveryBatches", static_cast<double>(snapshot.batches), engine));
-  values.push_back(counter("EventsCoalesced", static_cast<double>(snapshot.coalesced), engine));
-  values.push_back(counter("EventsDropped", static_cast<double>(snapshot.dropped), engine));
-  values.push_back(counter("DeliveryRetries", static_cast<double>(snapshot.retries), engine));
-  values.push_back(counter("DeliveryFailures", static_cast<double>(snapshot.failures), engine));
-  values.push_back(counter("QueuedEvents", static_cast<double>(snapshot.total_queued), engine));
-  values.push_back(counter("MaxQueueDepth", static_cast<double>(snapshot.max_queue_depth), engine));
-  values.push_back(counter("MaxCursorLag", static_cast<double>(snapshot.max_cursor_lag), engine));
-  values.push_back(counter("BreakersOpen", static_cast<double>(snapshot.breakers_open), engine));
-  values.push_back(counter("StreamSubscribers", static_cast<double>(snapshot.streams), engine));
-  json::Array subscribers;
-  for (const SubscriberSnapshot& subscriber : snapshot.subscribers) {
-    values.push_back(counter("QueueDepth." + subscriber.uri,
-                             static_cast<double>(subscriber.queue_depth),
-                             subscriber.uri));
-    values.push_back(counter("CursorLag." + subscriber.uri,
-                             static_cast<double>(subscriber.cursor_lag),
-                             subscriber.uri));
-    values.push_back(counter("Queued." + subscriber.uri,
-                             static_cast<double>(subscriber.enqueued),
-                             subscriber.uri));
-    values.push_back(counter("Delivered." + subscriber.uri,
-                             static_cast<double>(subscriber.delivered),
-                             subscriber.uri));
-    values.push_back(counter("Dropped." + subscriber.uri,
-                             static_cast<double>(subscriber.dropped),
-                             subscriber.uri));
-    values.push_back(counter("Retries." + subscriber.uri,
-                             static_cast<double>(subscriber.retries),
-                             subscriber.uri));
-    values.push_back(counter("BreakerOpen." + subscriber.uri,
-                             subscriber.breaker_state == BreakerState::kClosed ? 0.0 : 1.0,
-                             subscriber.uri));
-    subscribers.push_back(json::Json::Obj(
-        {{"Subscription", subscriber.uri},
-         {"Destination", subscriber.destination},
-         {"Stream", subscriber.stream},
-         {"QueueDepth", static_cast<std::int64_t>(subscriber.queue_depth)},
-         {"Enqueued", static_cast<std::int64_t>(subscriber.enqueued)},
-         {"Delivered", static_cast<std::int64_t>(subscriber.delivered)},
-         {"Batches", static_cast<std::int64_t>(subscriber.batches)},
-         {"Coalesced", static_cast<std::int64_t>(subscriber.coalesced)},
-         {"Dropped", static_cast<std::int64_t>(subscriber.dropped)},
-         {"Retries", static_cast<std::int64_t>(subscriber.retries)},
-         {"Failures", static_cast<std::int64_t>(subscriber.failures)},
-         {"AckedSequence", static_cast<std::int64_t>(subscriber.acked_sequence)},
-         {"CursorLag", static_cast<std::int64_t>(subscriber.cursor_lag)},
-         {"BreakerState", to_string(subscriber.breaker_state)},
-         {"BreakerOpens", static_cast<std::int64_t>(subscriber.breaker_stats.opens)},
-         {"BreakerCloses", static_cast<std::int64_t>(subscriber.breaker_stats.closes)},
-         {"BreakerRejected",
-          static_cast<std::int64_t>(subscriber.breaker_stats.rejected)}}));
-  }
-  json::Json payload = json::Json::Obj({
-      {"Id", "EventDelivery"},
-      {"Name", "Event fan-out delivery state"},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-      {"Oem",
-       json::Json::Obj(
-           {{"Ofmf",
-             json::Json::Obj({{"LastSequence",
-                               static_cast<std::int64_t>(snapshot.last_sequence)},
-                              {"Subscribers",
-                               json::Json(std::move(subscribers))}})}})},
-  });
-  const std::string uri = EventDeliveryReportUri();
-  if (delivery_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  delivery_report_exists_ = true;
-  last_delivery_fingerprint_ = std::move(fingerprint);
-  return Status::Ok();
-}
-
-std::string TelemetryService::RequestLatencyReportUri() {
-  return std::string(kMetricReports) + "/RequestLatency";
-}
-
-Status TelemetryService::UpdateRequestLatencyReport() {
-  const std::vector<metrics::Registry::NamedHistogram> histograms =
-      metrics::Registry::instance().HistogramSnapshots();
-  const std::vector<std::pair<std::string, std::uint64_t>> counters =
-      metrics::Registry::instance().CounterValues();
-
-  // (count, sum) pins every histogram's contents; timestamps stay out of the
-  // fingerprint so a no-traffic scrape is a pure no-op (ETag-stable -> 304).
-  std::string fingerprint;
-  for (const metrics::Registry::NamedHistogram& entry : histograms) {
-    fingerprint += entry.name + ":" + std::to_string(entry.snap.count) + ":" +
-                   std::to_string(entry.snap.sum) + "|";
-  }
-  for (const auto& [name, value] : counters) {
-    fingerprint += name + "=" + std::to_string(value) + "|";
-  }
-  std::lock_guard<std::mutex> lock(latency_report_mu_);
-  if (latency_report_exists_ && fingerprint == last_latency_fingerprint_) {
-    return Status::Ok();
-  }
-
-  const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto metric = [&](const std::string& id, double value,
-                          const std::string& property) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", property},
-                            {"Timestamp", timestamp}});
-  };
-  json::Array values;
-  for (const metrics::Registry::NamedHistogram& entry : histograms) {
-    // Latency series record nanoseconds by convention; report milliseconds.
-    // Size-valued series (".records", ".bytes") pass through unscaled.
-    const bool is_ns = (entry.name.size() >= 3 &&
-                        entry.name.compare(entry.name.size() - 3, 3, ".ns") == 0) ||
-                       entry.name.rfind("http.latency.", 0) == 0;
-    const double scale = is_ns ? 1e-6 : 1.0;
-    const std::string property = is_ns ? "milliseconds" : "units";
-    values.push_back(metric(entry.name + ".count",
-                            static_cast<double>(entry.snap.count), "samples"));
-    values.push_back(metric(entry.name + ".p50",
-                            entry.snap.Percentile(0.50) * scale, property));
-    values.push_back(metric(entry.name + ".p95",
-                            entry.snap.Percentile(0.95) * scale, property));
-    values.push_back(metric(entry.name + ".p99",
-                            entry.snap.Percentile(0.99) * scale, property));
-    values.push_back(metric(entry.name + ".mean", entry.snap.mean() * scale, property));
-  }
-  for (const auto& [name, value] : counters) {
-    values.push_back(metric(name, static_cast<double>(value), "count"));
-  }
-  json::Json payload = json::Json::Obj({
-      {"Id", "RequestLatency"},
-      {"Name", "Request latency and stage-timing histograms"},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-  });
-  const std::string uri = RequestLatencyReportUri();
-  if (latency_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  latency_report_exists_ = true;
-  last_latency_fingerprint_ = std::move(fingerprint);
-  return Status::Ok();
-}
-
-std::string TelemetryService::TenantQosReportUri() {
-  return std::string(kMetricReports) + "/TenantQoS";
-}
-
 void TelemetryService::SetTenantQosSource(
     std::function<std::vector<qos::TenantStats>()> source) {
-  std::lock_guard<std::mutex> lock(tenant_report_mu_);
-  tenant_qos_source_ = std::move(source);
+  std::lock_guard<std::mutex> lock(tenant_source_mu_);
+  tenant_source_ = std::move(source);
 }
 
-Status TelemetryService::UpdateTenantQosReport() {
-  std::function<std::vector<qos::TenantStats>()> source;
-  {
-    std::lock_guard<std::mutex> lock(tenant_report_mu_);
-    source = tenant_qos_source_;
-  }
-  std::vector<qos::TenantStats> tenants;
-  if (source) tenants = source();
+TelemetrySnapshot TelemetryService::Collect() const { return Collect(~0u); }
 
-  // Per-tenant latency lives in the shared registry under a fixed prefix so
-  // the reactor never needs a back-pointer into telemetry.
-  static constexpr const char* kTenantLatencyPrefix = "http.tenant.";
-  std::vector<metrics::Registry::NamedHistogram> latency;
-  for (metrics::Registry::NamedHistogram& entry :
-       metrics::Registry::instance().HistogramSnapshots()) {
-    if (entry.name.rfind(kTenantLatencyPrefix, 0) == 0) {
-      latency.push_back(std::move(entry));
+TelemetrySnapshot TelemetryService::Collect(unsigned sources) const {
+  TelemetrySnapshot snapshot;
+  if (sources & kRegistrySource) {
+    snapshot.histograms = metrics::Registry::instance().HistogramSnapshots();
+    snapshot.counters = metrics::Registry::instance().CounterValues();
+    snapshot.trace = trace::TraceRecorder::instance().stats();
+  }
+  if ((sources & kCacheSource) && sources_.cache) snapshot.cache = sources_.cache();
+  if ((sources & kDeliverySource) && sources_.delivery) snapshot.delivery = sources_.delivery();
+  if ((sources & kResilienceSource) && sources_.resilience) {
+    snapshot.resilience = sources_.resilience();
+  }
+  if (sources & kTenantSource) {
+    std::function<std::vector<qos::TenantStats>()> tenants;
+    {
+      std::lock_guard<std::mutex> lock(tenant_source_mu_);
+      tenants = tenant_source_;
+    }
+    if (tenants) snapshot.tenants = tenants();
+  }
+  return snapshot;
+}
+
+Status TelemetryService::Publish(const std::string& report_id, json::Json report) {
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  json::Json& last = published_[report_id];
+  if (last == report) return Status::Ok();
+  json::Json stamped = report;
+  const std::string timestamp = FormatSimTimestamp(clock_.now());
+  for (json::Json& entry : stamped["MetricValues"].as_array()) {
+    entry.as_object().Set("Timestamp", timestamp);
+  }
+  OFMF_RETURN_IF_ERROR(Store(report_id, std::move(stamped)));
+  last = std::move(report);
+  return Status::Ok();
+}
+
+void TelemetryService::Refresh(std::string_view path) {
+  const std::string_view prefix = kMetricReports;
+  if (!strings::StartsWith(path, prefix) || path.substr(prefix.size(), 1) != "/") return;
+  for (const ServiceReport& report : kServiceReports) {
+    if (path.substr(prefix.size() + 1) == report.id) {
+      (void)Publish(report.id, report.build(Collect(report.sources), ReportScope::kShard));
+      return;
     }
   }
+}
 
-  std::string fingerprint;
-  for (const qos::TenantStats& tenant : tenants) {
-    fingerprint += tenant.id + ":" + std::to_string(tenant.weight) + ":" +
-                   std::to_string(tenant.queued) + ":" +
-                   std::to_string(tenant.admitted) + ":" +
-                   std::to_string(tenant.dispatched) + ":" +
-                   std::to_string(tenant.rate_limited) + ":" +
-                   std::to_string(tenant.queue_rejected) + "|";
+void TelemetryService::RefreshAll() {
+  const TelemetrySnapshot snapshot = Collect();
+  for (const ServiceReport& report : kServiceReports) {
+    (void)Publish(report.id, report.build(snapshot, ReportScope::kShard));
   }
-  for (const metrics::Registry::NamedHistogram& entry : latency) {
-    fingerprint += entry.name + ":" + std::to_string(entry.snap.count) + ":" +
-                   std::to_string(entry.snap.sum) + "|";
-  }
-  std::lock_guard<std::mutex> lock(tenant_report_mu_);
-  if (tenant_report_exists_ && fingerprint == last_tenant_fingerprint_) {
-    return Status::Ok();
-  }
-
-  const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto counter = [&](const std::string& id, double value,
-                           const std::string& property) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", property},
-                            {"Timestamp", timestamp}});
-  };
-  json::Array values;
-  json::Array tenant_objs;
-  for (const qos::TenantStats& tenant : tenants) {
-    values.push_back(counter("QueueDepth." + tenant.id,
-                             static_cast<double>(tenant.queued), tenant.id));
-    values.push_back(counter("Admitted." + tenant.id,
-                             static_cast<double>(tenant.admitted), tenant.id));
-    values.push_back(counter("Dispatched." + tenant.id,
-                             static_cast<double>(tenant.dispatched), tenant.id));
-    values.push_back(counter("RateLimited." + tenant.id,
-                             static_cast<double>(tenant.rate_limited), tenant.id));
-    values.push_back(counter("QueueRejected." + tenant.id,
-                             static_cast<double>(tenant.queue_rejected), tenant.id));
-    tenant_objs.push_back(json::Json::Obj(
-        {{"Tenant", tenant.id},
-         {"Weight", static_cast<std::int64_t>(tenant.weight)},
-         {"QueueDepth", static_cast<std::int64_t>(tenant.queued)},
-         {"Admitted", static_cast<std::int64_t>(tenant.admitted)},
-         {"Dispatched", static_cast<std::int64_t>(tenant.dispatched)},
-         {"RateLimited", static_cast<std::int64_t>(tenant.rate_limited)},
-         {"QueueRejected", static_cast<std::int64_t>(tenant.queue_rejected)}}));
-  }
-  for (const metrics::Registry::NamedHistogram& entry : latency) {
-    values.push_back(counter(entry.name + ".count",
-                             static_cast<double>(entry.snap.count), "samples"));
-    values.push_back(counter(entry.name + ".p50",
-                             entry.snap.Percentile(0.50) * 1e-6, "milliseconds"));
-    values.push_back(counter(entry.name + ".p95",
-                             entry.snap.Percentile(0.95) * 1e-6, "milliseconds"));
-    values.push_back(counter(entry.name + ".p99",
-                             entry.snap.Percentile(0.99) * 1e-6, "milliseconds"));
-  }
-  json::Json payload = json::Json::Obj({
-      {"Id", "TenantQoS"},
-      {"Name", "Per-tenant fair-scheduling and admission state"},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-      {"Oem",
-       json::Json::Obj({{"Ofmf", json::Json::Obj({{"Tenants", json::Json(std::move(
-                                                       tenant_objs))}})}})},
-  });
-  const std::string uri = TenantQosReportUri();
-  if (tenant_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  tenant_report_exists_ = true;
-  last_tenant_fingerprint_ = std::move(fingerprint);
-  return Status::Ok();
 }
 
 Result<json::Json> TelemetryService::GetReport(const std::string& report_id) const {
-  return tree_.Get(std::string(kMetricReports) + "/" + report_id);
+  return tree_.Get(ReportUri(report_id));
 }
 
 std::vector<std::string> TelemetryService::ReportIds() const {

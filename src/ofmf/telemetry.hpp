@@ -2,16 +2,27 @@
 // information". Agents push MetricReports (power, port counters, pool
 // utilization); clients read them from the tree or subscribe to
 // MetricReport events.
+//
+// The five service-internal reports (ResponseCache, Resilience,
+// RequestLatency, EventDelivery, TenantQoS) and the MetricsDump document are
+// projections of one TelemetrySnapshot. A shard draws them from its own
+// state; the federation router parses each shard's dump back into a
+// snapshot, merges them, and serves the same reports from the same builders.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/metrics.hpp"
 #include "common/qos.hpp"
 #include "common/result.hpp"
+#include "common/trace.hpp"
 #include "json/value.hpp"
 #include "ofmf/breaker.hpp"
 #include "ofmf/events.hpp"
@@ -39,9 +50,72 @@ struct ResilienceSnapshot {
   std::uint64_t replayed_posts = 0;  // POSTs answered from the replay cache
 };
 
+/// Everything a service-internal MetricReport or a MetricsDump reads.
+struct TelemetrySnapshot {
+  std::map<std::string, metrics::Histogram::Snapshot> histograms;
+  std::map<std::string, std::uint64_t> counters;
+  trace::TraceStats trace;
+  redfish::ResponseCacheStats cache;
+  DeliverySnapshot delivery;
+  ResilienceSnapshot resilience;
+  std::vector<qos::TenantStats> tenants;
+
+  /// Folds in another shard's snapshot. Histograms merge bucket-wise (fleet
+  /// percentiles come from the merged buckets; percentiles do not average),
+  /// counters and totals add, high-water marks (LastSequence, MaxQueueDepth,
+  /// MaxCursorLag) take the larger value, and breaker lists concatenate (a
+  /// fabric lives on one shard). Per-subscriber and per-tenant detail is
+  /// shard-local and does not merge.
+  void Merge(const TelemetrySnapshot& other);
+};
+
+/// Which side a report is built for: same Id, MetricIds and values, but a
+/// fleet report says "Fleet" in its Name and MetricProperty labels, adds
+/// Resilience's BreakersOpen and BreakersTotal, and leaves the Oem detail of
+/// shard-local state to the router.
+enum class ReportScope { kShard, kFleet };
+
+/// A builder returns Id, Name, ReportSequence, MetricValues (MetricId,
+/// MetricValue, MetricProperty) and any Oem member; the shard stamps a
+/// Timestamp on each entry when it publishes. nullptr for an unknown id.
+using ReportBuilder = json::Json (*)(const TelemetrySnapshot&, ReportScope);
+ReportBuilder FindReportBuilder(std::string_view report_id);
+
+/// A report body and one MetricValues entry, as every builder writes them,
+/// and a document's Oem.Ofmf object (created if absent).
+json::Json ReportBody(const std::string& id, const std::string& name, json::Array values);
+json::Json MetricEntry(const std::string& id, double value, const std::string& property);
+json::Object& OfmfOem(json::Json& doc);
+
+/// Appends BreakersOpen, BreakersTotal, ReplayedPosts and Breakers (FabricId,
+/// State, Degraded, plus the counters when `with_counts`): the dump's
+/// Resilience section, heartbeat stats, and the fleet report's per-shard
+/// entries.
+void AppendResilienceSummary(json::Object& into, const ResilienceSnapshot& snapshot,
+                             bool with_counts);
+
+/// The MetricsDump document: `head` (a shard's ShardId, the router's Shards),
+/// Histograms with raw log2 buckets, Counters, Trace, ResponseCache,
+/// EventDelivery and Resilience.
+json::Json RenderDump(json::Member head, const TelemetrySnapshot& snapshot);
+
+/// Reads a MetricsDump back; fails only on a document that is not an object.
+/// A missing field reads as zero; an entry whose value is negative or not an
+/// integer is skipped (a histogram as a whole, if any bucket or its Sum is).
+Result<TelemetrySnapshot> ParseDump(const json::Json& dump);
+
+/// State the reports read besides the process-global metrics registry and
+/// trace recorder. An unset source leaves its section zero.
+struct TelemetrySources {
+  std::function<redfish::ResponseCacheStats()> cache;
+  std::function<DeliverySnapshot()> delivery;
+  std::function<ResilienceSnapshot()> resilience;
+};
+
 class TelemetryService {
  public:
-  TelemetryService(redfish::ResourceTree& tree, EventService& events, SimClock& clock);
+  TelemetryService(redfish::ResourceTree& tree, EventService& events, SimClock& clock,
+                   TelemetrySources sources = {});
 
   Status Bootstrap();
 
@@ -52,86 +126,42 @@ class TelemetryService {
   Result<json::Json> GetReport(const std::string& report_id) const;
   std::vector<std::string> ReportIds() const;
 
-  /// Creates-or-replaces the "ResponseCache" MetricReport with the read-path
-  /// cache counters (hits, misses, evictions, invalidations, hit rate).
-  /// Quiet: no-op when the counters are unchanged since the last push, and
-  /// never fires a MetricReport event (the report mirrors service-internal
-  /// state rather than hardware telemetry).
-  Status UpdateResponseCacheReport(const redfish::ResponseCacheStats& stats);
-
-  /// URI of the read-path cache report.
-  static std::string ResponseCacheReportUri();
-
-  /// Creates-or-replaces the "Resilience" MetricReport with per-agent
-  /// breaker state/counters and the POST replay-cache counter. Quiet like
-  /// UpdateResponseCacheReport: no event, no-op when nothing moved.
-  Status UpdateResilienceReport(const ResilienceSnapshot& snapshot);
-
-  /// URI of the resilience (breaker/retry) report.
-  static std::string ResilienceReportUri();
-
-  /// Creates-or-replaces the "RequestLatency" MetricReport from the global
-  /// metrics registry: per-endpoint HTTP latency, compose/decompose stage
-  /// timings, journal fsync/batch, and agent-call histograms, each reported
-  /// as count plus p50/p95/p99 (milliseconds for the *.ns series). Quiet:
-  /// the fingerprint covers only (count, sum) pairs and counter values, so a
-  /// scrape with no intervening traffic leaves the report — and its ETag —
-  /// untouched.
-  Status UpdateRequestLatencyReport();
-
-  /// URI of the latency-histogram report.
-  static std::string RequestLatencyReportUri();
-
-  /// Creates-or-replaces the "EventDelivery" MetricReport with the event
-  /// fan-out engine's state: per-subscriber queue depth, drops, retries,
-  /// failures, cursor lag, and breaker state, plus fleet-wide totals.
-  /// Quiet like the other service-internal reports: no event, no-op when
-  /// nothing moved.
-  Status UpdateEventDeliveryReport(const DeliverySnapshot& snapshot);
-
-  /// URI of the event fan-out delivery report.
-  static std::string EventDeliveryReportUri();
+  /// URI of the report `report_id`.
+  static std::string ReportUri(std::string_view report_id);
 
   /// Where the TenantQoS report pulls scheduler counters from (the reactor's
   /// TcpServer::TenantQosStats, wired by whoever owns both). Null = the
   /// report carries only the per-tenant latency histograms.
   void SetTenantQosSource(std::function<std::vector<qos::TenantStats>()> source);
 
-  /// Creates-or-replaces the "TenantQoS" MetricReport: per-tenant scheduler
-  /// counters (admitted/dispatched/429s/queue depth, DRR weight) from the
-  /// source plus per-tenant request-latency percentiles from the metrics
-  /// registry ("http.tenant.<id>.latency.ns"). Quiet like the other
-  /// service-internal reports: no event, no-op when nothing moved.
-  Status UpdateTenantQosReport();
+  /// Reads every source into one snapshot (what MetricsDump renders).
+  TelemetrySnapshot Collect() const;
 
-  /// URI of the multi-tenant QoS report.
-  static std::string TenantQosReportUri();
+  /// Republishes the service-internal report at `path` (normalized) from its
+  /// sources; any other path is a no-op. RefreshAll republishes all five
+  /// from one snapshot. Quiet: a report equal to the last one published
+  /// under its id, timestamps aside, is left alone (its ETag holds), and no
+  /// MetricReport event fires: these mirror service-internal state.
+  void Refresh(std::string_view path);
+  void RefreshAll();
 
  private:
+  TelemetrySnapshot Collect(unsigned sources) const;
+  Status Publish(const std::string& report_id, json::Json report);
+  Status Store(const std::string& report_id, json::Json payload);
+
   redfish::ResourceTree& tree_;
   EventService& events_;
   SimClock& clock_;
+  const TelemetrySources sources_;
 
-  std::mutex cache_report_mu_;
-  redfish::ResponseCacheStats last_cache_stats_;
-  bool cache_report_exists_ = false;
+  mutable std::mutex tenant_source_mu_;
+  std::function<std::vector<qos::TenantStats>()> tenant_source_;
 
-  std::mutex resilience_report_mu_;
-  std::string last_resilience_fingerprint_;
-  bool resilience_report_exists_ = false;
-
-  std::mutex latency_report_mu_;
-  std::string last_latency_fingerprint_;
-  bool latency_report_exists_ = false;
-
-  std::mutex delivery_report_mu_;
-  std::string last_delivery_fingerprint_;
-  bool delivery_report_exists_ = false;
-
-  std::mutex tenant_report_mu_;
-  std::function<std::vector<qos::TenantStats>()> tenant_qos_source_;
-  std::string last_tenant_fingerprint_;
-  bool tenant_report_exists_ = false;
+  // Last report published under each id, without timestamps. The mutex
+  // also serializes the tree writes of quiet publishes.
+  std::mutex publish_mu_;
+  std::map<std::string, json::Json> published_;
 };
 
 }  // namespace ofmf::core

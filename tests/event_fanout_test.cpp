@@ -257,6 +257,17 @@ TEST(EventFanoutTest, OverflowDropsOldestAndPublishesQueueFullAlert) {
     event.origin = core::kServiceRoot;
     ofmf.events().Publish(event);
   }
+  // Publish only hands events to the dispatcher thread. Release once the whole
+  // burst sits in the subscriber queue: a release while it is still arriving
+  // could let the queue drain to empty in between, which starts a second
+  // overflow episode and a second alert.
+  for (int spin = 0;
+       ofmf.events().CollectDelivery().subscribers[0].enqueued <
+           static_cast<std::uint64_t>(kEvents) &&
+       spin < 10000;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   sink.Release();
   ASSERT_TRUE(ofmf.events().FlushDelivery(10000));
 

@@ -670,6 +670,67 @@ TEST_F(FederationFixture, FleetTelemetryMergesShardDumpsAndServesHealth) {
   GetJson(std::string(core::kMetricReports) + "/NoSuchReport", 404);
 }
 
+// A shard whose MetricsDump fails is named on every gathered fleet document
+// instead of silently shrinking the fleet totals.
+TEST_F(FederationFixture, FleetReportsNameAShardWhoseDumpFailed) {
+  StartShards(2, 1);
+  // Distinct cache traffic per shard: the response cache is per service,
+  // unlike the process-global metrics registry.
+  for (const auto& [id, reads] : {std::pair<std::string, int>{"s1", 3}, {"s2", 5}}) {
+    http::InProcessClient direct(shard(id).service.Handler());
+    for (int i = 0; i < reads; ++i) {
+      ASSERT_TRUE(direct.Send(http::MakeRequest(http::Method::kGet, core::kResourceBlocks)).ok());
+    }
+  }
+  const auto cache_of = [this](const std::string& id) {
+    return shard(id).service.rest().response_cache().stats();
+  };
+  const std::vector<std::string> reports = {"RequestLatency", "ResponseCache", "Resilience",
+                                            "EventDelivery"};
+  const std::string dump_uri =
+      std::string(core::kServiceRoot) + "/Actions/OfmfService.MetricsDump";
+  const auto post_dump = [&] {
+    const http::Response response = Route(http::MakeRequest(http::Method::kPost, dump_uri));
+    EXPECT_EQ(response.status, 200) << response.body.view();
+    auto doc = json::Parse(response.body.view());
+    return doc.ok() ? std::move(doc.value()) : Json();
+  };
+
+  faults_->ArmProbability("federation.shard.s2", FaultKind::kErrorStatus, 1.0);
+  for (const std::string& name : reports) {
+    const Json report = GetJson(std::string(core::kMetricReports) + "/" + name);
+    const Json* degraded = json::ResolvePointerRef(report, "/Oem/Ofmf/DegradedShards");
+    ASSERT_NE(degraded, nullptr) << name;
+    EXPECT_EQ(json::Serialize(*degraded), R"(["s2"])") << name;
+  }
+  const Json cache = GetJson(std::string(core::kMetricReports) + "/ResponseCache");
+  const Json& values = cache.at("MetricValues");
+  EXPECT_EQ(values.as_array()[0].GetString("MetricId"), "CacheHits");
+  EXPECT_EQ(values.as_array()[0].GetDouble("MetricValue"),
+            static_cast<double>(cache_of("s1").hits));
+  EXPECT_EQ(values.as_array()[1].GetDouble("MetricValue"),
+            static_cast<double>(cache_of("s1").misses));
+  const Json dump = post_dump();
+  EXPECT_EQ(json::Serialize(dump.at("Shards")), R"(["s1"])");
+  EXPECT_EQ(json::Serialize(*json::ResolvePointerRef(dump, "/Oem/Ofmf/DegradedShards")),
+            R"(["s2"])");
+  EXPECT_EQ(dump.at("ResponseCache").GetInt("Hits"),
+            static_cast<std::int64_t>(cache_of("s1").hits));
+  EXPECT_EQ(dump.at("ResponseCache").GetInt("Misses"),
+            static_cast<std::int64_t>(cache_of("s1").misses));
+
+  faults_->Disarm("federation.shard.s2");
+  for (const std::string& name : reports) {
+    const Json report = GetJson(std::string(core::kMetricReports) + "/" + name);
+    EXPECT_EQ(json::ResolvePointerRef(report, "/Oem/Ofmf/DegradedShards"), nullptr) << name;
+  }
+  const Json healed = post_dump();
+  EXPECT_EQ(json::Serialize(healed.at("Shards")), R"(["s1","s2"])");
+  EXPECT_FALSE(healed.Contains("Oem"));
+  EXPECT_EQ(healed.at("ResponseCache").GetInt("Misses"),
+            static_cast<std::int64_t>(cache_of("s1").misses + cache_of("s2").misses));
+}
+
 // A port that is a double past the int64 range is as invalid as a missing
 // one (converting it to an integer would be undefined behaviour).
 TEST(DirectoryTest, RegisterWithOutOfRangePortAnswers400) {
@@ -1250,7 +1311,7 @@ TEST(FederationDeliveryTest, DeliveryReportCarriesPerSubscriberCounters) {
   // GET of the report refreshes it lazily from the live snapshot.
   http::InProcessClient client(ofmf.Handler());
   const auto response = client.Send(http::MakeRequest(
-      http::Method::kGet, core::TelemetryService::EventDeliveryReportUri()));
+      http::Method::kGet, core::TelemetryService::ReportUri("EventDelivery")));
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response.value().status, 200);
   const auto report = json::Parse(response.value().body.view());

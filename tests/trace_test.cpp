@@ -498,8 +498,8 @@ TEST_F(TraceTest, ExhaustedRetriesStillFormOneConnectedTree) {
 }
 
 /// Two scrapes with no traffic in between must be byte-identical: the
-/// MetricReports subtree is excluded from the endpoint histograms, the
-/// quiet-update fingerprint suppresses the patch, the ETag holds, and the
+/// MetricReports subtree is excluded from the endpoint histograms, the quiet
+/// publish finds no value moved and skips the write, the ETag holds, and the
 /// conditional re-GET comes back 304.
 TEST_F(TraceTest, RequestLatencyReportETagStableAcrossScrapes) {
   core::OfmfService ofmf;
@@ -512,7 +512,7 @@ TEST_F(TraceTest, RequestLatencyReportETagStableAcrossScrapes) {
     ASSERT_EQ(probe.status, 200);
   }
 
-  const std::string report_uri = core::TelemetryService::RequestLatencyReportUri();
+  const std::string report_uri = core::TelemetryService::ReportUri("RequestLatency");
   const http::Response first =
       ofmf.Handle(http::MakeRequest(http::Method::kGet, report_uri));
   ASSERT_EQ(first.status, 200);
@@ -541,7 +541,7 @@ TEST_F(TraceTest, PeriodicRefreshPublishesReportsWithoutScrapes) {
   ASSERT_TRUE(ofmf.Bootstrap().ok());
 
   EXPECT_FALSE(
-      ofmf.tree().Get(core::TelemetryService::RequestLatencyReportUri()).ok());
+      ofmf.tree().Get(core::TelemetryService::ReportUri("RequestLatency")).ok());
   // The stride counter is thread-local and shared across services, so any
   // full interval's worth of requests crosses the refresh boundary exactly
   // once, whatever phase the counter started in.
@@ -549,11 +549,11 @@ TEST_F(TraceTest, PeriodicRefreshPublishesReportsWithoutScrapes) {
     (void)ofmf.Handle(http::MakeRequest(http::Method::kGet, core::kServiceRoot));
   }
   EXPECT_TRUE(
-      ofmf.tree().Get(core::TelemetryService::RequestLatencyReportUri()).ok());
+      ofmf.tree().Get(core::TelemetryService::ReportUri("RequestLatency")).ok());
   EXPECT_TRUE(
-      ofmf.tree().Get(core::TelemetryService::ResponseCacheReportUri()).ok());
+      ofmf.tree().Get(core::TelemetryService::ReportUri("ResponseCache")).ok());
   EXPECT_TRUE(
-      ofmf.tree().Get(core::TelemetryService::ResilienceReportUri()).ok());
+      ofmf.tree().Get(core::TelemetryService::ReportUri("Resilience")).ok());
 }
 
 TEST_F(TraceTest, MetricsDumpActionReturnsHistogramsCountersAndTraceStats) {
@@ -711,8 +711,8 @@ TEST_F(WireTraceTest, ComposeAndFabricCallTraceEndToEndOverTcp) {
 
   // The agent latency histogram moved.
   bool saw_agent_latency = false;
-  for (const auto& entry : metrics::Registry::instance().HistogramSnapshots()) {
-    if (entry.name == "agent.call.ns" && entry.snap.count > 0) {
+  for (const auto& [name, snap] : metrics::Registry::instance().HistogramSnapshots()) {
+    if (name == "agent.call.ns" && snap.count > 0) {
       saw_agent_latency = true;
     }
   }
