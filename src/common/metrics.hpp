@@ -77,18 +77,13 @@ class Counter {
 
 /// Process-global name -> instrument registry. Instruments are created on
 /// first use and never destroyed, so the references handed out stay valid;
-/// hot paths look a name up once and keep the reference. set_enabled(false)
-/// turns every ScopedTimer into a no-op (the uninstrumented baseline the
-/// overhead bench compares against).
+/// hot paths look a name up once and keep the reference.
 class Registry {
  public:
   static Registry& instance();
 
   Histogram& histogram(const std::string& name);
   Counter& counter(const std::string& name);
-
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Every instrument's value by name; histograms aggregate their shards at
   /// call time.
@@ -101,7 +96,6 @@ class Registry {
  private:
   Registry() = default;
 
-  std::atomic<bool> enabled_{true};
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
@@ -116,12 +110,11 @@ class Registry {
 std::uint64_t FastNowNs();
 
 /// RAII latency timer: records elapsed nanoseconds into the histogram on
-/// destruction. With the registry disabled (or a null histogram) the
-/// constructor skips even the clock read.
+/// destruction. With a null histogram the constructor skips even the clock
+/// read.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram* hist)
-      : hist_(Registry::instance().enabled() ? hist : nullptr) {
+  explicit ScopedTimer(Histogram* hist) : hist_(hist) {
     if (hist_ != nullptr) start_ns_ = FastNowNs();
   }
   explicit ScopedTimer(Histogram& hist) : ScopedTimer(&hist) {}

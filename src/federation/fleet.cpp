@@ -28,6 +28,14 @@ void FleetMetrics::Absorb(const std::string& shard_id, const json::Json& dump) {
   if (!snapshot.ok()) return Omit(shard_id);
   shards_.push_back(shard_id);
   resilience_.emplace_back(shard_id, snapshot->resilience);
+  const std::string& process = snapshot->process_id;
+  if (!process.empty() && !processes_.insert(process).second) {
+    // Another shard of this process already brought its registry and trace
+    // recorder; only the per-service sections add up.
+    snapshot->histograms.clear();
+    snapshot->counters.clear();
+    snapshot->trace = {};
+  }
   merged_.Merge(*snapshot);
 }
 

@@ -2,16 +2,19 @@
 // MetricsDump; the router scatter-gathers those dumps, and FleetMetrics
 // parses and merges them into one core::TelemetrySnapshot (histograms merge
 // bucket-wise, so fleet percentiles are recomputed from the merged buckets;
-// counters add; high-water marks take the max). The gathered reports are the
-// shard report builders' fleet projections of that snapshot, so a fleet
-// report and the shard report of the same name share Id, MetricIds and
-// values. A shard that contributed no dump is named in
-// Oem.Ofmf.DegradedShards on every gathered document rather than silently
-// shrinking the totals. FleetHealth and the TelemetryService documents come
-// from the routing table (the router has no ResourceTree of its own).
+// counters add; high-water marks take the max). Histograms, counters and
+// trace stats are process-global, so shards that share a process (one
+// ProcessId) add them once. The gathered reports are the shard report
+// builders' fleet projections of that snapshot, so a fleet report and the
+// shard report of the same name share Id, MetricIds and values. A shard
+// that contributed no dump is named in Oem.Ofmf.DegradedShards on every
+// gathered document rather than silently shrinking the totals. FleetHealth
+// and the TelemetryService documents come from the routing table (the
+// router has no ResourceTree of its own).
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +45,7 @@ class FleetMetrics {
  private:
   std::vector<std::string> shards_;
   std::vector<std::string> degraded_;
+  std::set<std::string> processes_;  // ProcessIds whose registry is merged
   core::TelemetrySnapshot merged_;
   std::vector<std::pair<std::string, core::ResilienceSnapshot>> resilience_;
 };

@@ -1171,7 +1171,7 @@ std::optional<Result<Response>> TcpClient::Advance(Leg& leg, short revents, bool
   const bool server_close =
       !response.ok() ||
       strings::EqualsIgnoreCase(response->headers.GetOr("Connection", ""), "close");
-  if (keep_alive_ && !server_close && leg.parser.buffered_bytes() == 0) {
+  if (!server_close && leg.parser.buffered_bytes() == 0) {
     Release(leg.fd);  // healthy keep-alive exchange: park it for the next request
     leg.fd = -1;
   } else {
@@ -1190,7 +1190,7 @@ void TcpClient::SendBatch(std::vector<Exchange> exchanges, const OnResponse& on_
     Request& request = leg.request;
     request.headers.Set("Host", "127.0.0.1:" + std::to_string(leg.client->port_));
     if (!strings::EqualsIgnoreCase(request.headers.GetOr("Connection", ""), "close")) {
-      request.headers.Set("Connection", leg.client->keep_alive_ ? "keep-alive" : "close");
+      request.headers.Set("Connection", "keep-alive");
     }
     leg.head = SerializeRequestHead(request);
     leg.wake = start + std::chrono::milliseconds(exchange.delay_ms);

@@ -92,8 +92,8 @@ struct ServerOptions {
   /// deficit-round-robin scheduler over per-tenant bounded queues with
   /// per-tenant token buckets: a bucket breach answers 429 + Retry-After
   /// derived from the refill time, a full tenant queue answers 503 with the
-  /// drain-rate-derived Retry-After. Null classifier = the legacy FIFO path
-  /// (single shared queue, the noisy-neighbor baseline).
+  /// drain-rate-derived Retry-After. Null classifier = one shared FIFO
+  /// queue.
   std::function<qos::TenantSpec(const Request&)> tenant_classifier;
   /// Per-tenant queue bound for specs that leave max_queue at 0.
   std::size_t qos_queue_per_tenant = 256;
@@ -275,10 +275,6 @@ class TcpClient : public HttpClient {
   void set_timeout_ms(int timeout_ms) { timeout_ms_ = timeout_ms; }
   int timeout_ms() const { return timeout_ms_; }
 
-  /// Disable to restore the one-connection-per-request behaviour (each
-  /// request stamps Connection: close). Benchmark baseline; on by default.
-  void set_keep_alive(bool keep_alive) { keep_alive_ = keep_alive; }
-
   /// Pool effectiveness counters: fresh connects vs pooled reuses.
   std::uint64_t connections_opened() const { return opened_.load(); }
   std::uint64_t connections_reused() const { return reused_.load(); }
@@ -300,7 +296,6 @@ class TcpClient : public HttpClient {
 
   std::uint16_t port_;
   int timeout_ms_;
-  bool keep_alive_ = true;
   std::mutex pool_mu_;
   std::deque<int> idle_fds_;  // back = most recently used
   std::atomic<std::uint64_t> opened_{0};

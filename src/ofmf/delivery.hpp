@@ -15,7 +15,7 @@
 //   * Publish-side Broadcast() only appends to per-subscriber bounded
 //     queues under the engine mutex — it never touches the network and
 //     never waits on a subscriber (enforced by the PublishPathMarker
-//     counter the bench asserts on).
+//     counter the fan-out tests assert on).
 //   * One batch in flight per subscriber; a stalled endpoint occupies at
 //     most one worker slot while its queue absorbs (and eventually
 //     coalesces/drops) the backlog.

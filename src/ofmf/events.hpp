@@ -128,7 +128,7 @@ class EventService {
     return delivery_.dropped_events() + internal_dropped_.load();
   }
   /// Network sends observed while a Publish was on the calling thread's
-  /// stack. The async contract says this stays zero (bench-asserted).
+  /// stack. The async contract says this stays zero (test-asserted).
   std::uint64_t publish_path_sends() const { return delivery_.publish_path_sends(); }
   /// Push attempts per batch per destination (the advertised
   /// DeliveryRetryAttempts); clamped to >= 1.

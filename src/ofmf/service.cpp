@@ -831,13 +831,11 @@ http::Response OfmfService::Handle(const http::Request& request) {
   }
   http::Response response;
   {
-    metrics::ScopedTimer timer(metrics::Registry::instance().enabled()
-                                   ? EndpointHistogram(request.method, request.path)
-                                   : nullptr);
+    metrics::ScopedTimer timer(EndpointHistogram(request.method, request.path));
     // Per-tenant latency: only authenticated traffic carries a tenant, so
     // the token-less hot path (benches, bootstrap probes) pays nothing.
     const std::string& token = request.headers.GetOr("X-Auth-Token", "");
-    if (metrics::Registry::instance().enabled() && !token.empty()) {
+    if (!token.empty()) {
       const std::uint64_t start_ns = metrics::FastNowNs();
       response = HandleInner(request);
       const std::string tenant = sessions_.TenantOfToken(token);
@@ -862,10 +860,7 @@ http::Response OfmfService::Handle(const http::Request& request) {
   // without a background thread. The stride is per thread: no shared counter
   // on the hot path.
   thread_local std::uint64_t handled = 0;
-  if (metrics::Registry::instance().enabled() &&
-      (++handled & (kReportRefreshInterval - 1)) == 0) {
-    telemetry_.RefreshAll();
-  }
+  if ((++handled & (kReportRefreshInterval - 1)) == 0) telemetry_.RefreshAll();
   return response;
 }
 

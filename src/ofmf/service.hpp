@@ -198,6 +198,10 @@ class OfmfService {
   void RestoreFabric(const std::string& fabric_id);
 
   SimClock clock_;
+  // Declared before the members whose callbacks append to it (the tree's
+  // mutation log, the event and cursor journals), so it outlives them: the
+  // delivery workers that advance cursors are joined only when events_ dies.
+  std::shared_ptr<store::PersistentStore> store_;
   redfish::ResourceTree tree_;
   redfish::RedfishService rest_;
   SessionService sessions_;
@@ -212,7 +216,6 @@ class OfmfService {
   std::atomic<bool> draining_{false};
 
   std::shared_ptr<FaultInjector> faults_;
-  std::shared_ptr<store::PersistentStore> store_;
   // URIs an agent re-published while the tree was in recovery-adopt mode;
   // ReconcileWithAgents marks everything else in that agent's fabric Absent.
   mutable std::mutex adopt_mu_;

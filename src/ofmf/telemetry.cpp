@@ -362,9 +362,10 @@ json::Json RenderDump(json::Member head, const TelemetrySnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.counters) {
     counters.push_back(json::Json::Obj({{"Name", name}, {"Value", value}}));
   }
-  json::Json dump = json::Json::Obj({std::move(head),
-                                     {"Histograms", json::Json(std::move(histograms))},
-                                     {"Counters", json::Json(std::move(counters))}});
+  json::Json dump = json::Json::Obj({std::move(head)});
+  if (!snapshot.process_id.empty()) dump.as_object().Set("ProcessId", snapshot.process_id);
+  dump.as_object().Set("Histograms", json::Json(std::move(histograms)));
+  dump.as_object().Set("Counters", json::Json(std::move(counters)));
   ScalarFields([&dump](const char* section, const char* name, Fold, std::uint64_t value) {
     json::Json& fields = dump[section];
     if (!fields.is_object()) fields = json::Json::MakeObject();
@@ -380,6 +381,7 @@ json::Json RenderDump(json::Member head, const TelemetrySnapshot& snapshot) {
 Result<TelemetrySnapshot> ParseDump(const json::Json& dump) {
   if (!dump.is_object()) return Status::InvalidArgument("MetricsDump is not an object");
   TelemetrySnapshot snapshot;
+  snapshot.process_id = dump.GetString("ProcessId");
   for (const json::Json& entry : Items(dump.at("Histograms"))) {
     const std::string name = entry.GetString("Name");
     metrics::Histogram::Snapshot snap;
@@ -477,6 +479,8 @@ TelemetrySnapshot TelemetryService::Collect() const { return Collect(~0u); }
 TelemetrySnapshot TelemetryService::Collect(unsigned sources) const {
   TelemetrySnapshot snapshot;
   if (sources & kRegistrySource) {
+    static const std::string process_id = trace::IdToHex(trace::NewId());
+    snapshot.process_id = process_id;
     snapshot.histograms = metrics::Registry::instance().HistogramSnapshots();
     snapshot.counters = metrics::Registry::instance().CounterValues();
     snapshot.trace = trace::TraceRecorder::instance().stats();

@@ -52,6 +52,11 @@ struct ResilienceSnapshot {
 
 /// Everything a service-internal MetricReport or a MetricsDump reads.
 struct TelemetrySnapshot {
+  /// The process whose registry and trace recorder filled histograms,
+  /// counters and trace: 16 hex digits of a random 64-bit value minted once
+  /// per process (a dump's ProcessId). Shards that share a process report
+  /// one id, and a fleet merge counts those three sections once per id.
+  std::string process_id;
   std::map<std::string, metrics::Histogram::Snapshot> histograms;
   std::map<std::string, std::uint64_t> counters;
   trace::TraceStats trace;
@@ -95,8 +100,8 @@ void AppendResilienceSummary(json::Object& into, const ResilienceSnapshot& snaps
                              bool with_counts);
 
 /// The MetricsDump document: `head` (a shard's ShardId, the router's Shards),
-/// Histograms with raw log2 buckets, Counters, Trace, ResponseCache,
-/// EventDelivery and Resilience.
+/// ProcessId when the snapshot has one, Histograms with raw log2 buckets,
+/// Counters, Trace, ResponseCache, EventDelivery and Resilience.
 json::Json RenderDump(json::Member head, const TelemetrySnapshot& snapshot);
 
 /// Reads a MetricsDump back; fails only on a document that is not an object.

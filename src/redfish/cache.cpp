@@ -52,7 +52,6 @@ std::uint64_t ResponseCache::BeginRead(const std::string& uri) const {
 std::optional<CachedResponse> ResponseCache::Lookup(const std::string& uri,
                                                     const std::string& etag,
                                                     const std::string& query) {
-  if (!enabled()) return std::nullopt;
   Shard& shard = ShardFor(uri);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(MakeKey(uri, etag, query));
@@ -68,7 +67,6 @@ std::optional<CachedResponse> ResponseCache::Lookup(const std::string& uri,
 void ResponseCache::Insert(const std::string& uri, const std::string& etag,
                            const std::string& query, CachedResponse entry,
                            std::uint64_t read_generation) {
-  if (!enabled()) return;
   Shard& shard = ShardFor(uri);
   std::lock_guard<std::mutex> lock(shard.mu);
   // Reject a body whose inputs were invalidated after the reader's snapshot:
@@ -141,11 +139,6 @@ void ResponseCache::Clear() {
     std::lock_guard<std::mutex> lock(shard.mu);
     ClearShardLocked(shard);
   }
-}
-
-void ResponseCache::set_enabled(bool enabled) {
-  const bool was = enabled_.exchange(enabled);
-  if (was && !enabled) Clear();
 }
 
 ResponseCacheStats ResponseCache::stats() const {

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -68,8 +67,8 @@ class ResponseCache {
                                        const std::string& query);
 
   /// Stores a serialized body with its pre-serialized heads. Dropped (not an
-  /// error) when the cache is disabled, the entry was invalidated after
-  /// `read_generation`, or the key already landed via a concurrent reader.
+  /// error) when the entry was invalidated after `read_generation`, or the
+  /// key already landed via a concurrent reader.
   void Insert(const std::string& uri, const std::string& etag, const std::string& query,
               CachedResponse entry, std::uint64_t read_generation);
 
@@ -78,9 +77,6 @@ class ResponseCache {
   void Invalidate(const std::string& changed_uri);
 
   void Clear();
-
-  void set_enabled(bool enabled);
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Aggregated over all shards.
   ResponseCacheStats stats() const;
@@ -124,7 +120,6 @@ class ResponseCache {
 
   std::size_t capacity_;          // total; split evenly across shards
   std::size_t shard_capacity_;    // >= 1
-  std::atomic<bool> enabled_{true};
   mutable std::array<Shard, kShards> shards_;
 };
 

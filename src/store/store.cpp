@@ -197,7 +197,7 @@ Status PersistentStore::CommitLocked() {
   static metrics::Histogram& commit_latency =
       metrics::Registry::instance().histogram("journal.commit.ns");
   metrics::ScopedTimer commit_timer(commit_latency);
-  if (metrics::Registry::instance().enabled()) batch_records.Record(pending_.size());
+  batch_records.Record(pending_.size());
   if (commit_span.active()) {
     commit_span.Note(std::to_string(pending_.size()) + " records");
   }

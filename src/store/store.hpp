@@ -52,7 +52,8 @@ struct StoreOptions {
   bool group_commit = true;
   std::size_t group_commit_records = 64;
   std::size_t group_commit_bytes = 256 * 1024;
-  /// false skips fsync entirely (throughput baseline for the bench).
+  /// false skips fsync entirely (tests where platter durability is not
+  /// under test).
   bool fsync_on_commit = true;
   /// Compaction is suggested (compaction_due()) past either threshold.
   std::uint64_t compact_after_records = 8192;

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -316,6 +318,13 @@ TEST(EventFanoutTest, BacklogCoalescesIntoOneBatchPost) {
   for (int i = 1; i <= 8; ++i) {
     ofmf.events().Publish(MakeAlert("Fanout.1.0.Batch" + std::to_string(i)));
   }
+  // Publish only hands events to the dispatcher thread. Release once the
+  // whole backlog sits in the subscriber queue: an event still arriving
+  // after the first POST returns would leave as a third POST.
+  for (int spin = 0; ofmf.events().CollectDelivery().subscribers[0].enqueued < 9 && spin < 10000;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   sink.Release();
   ASSERT_TRUE(ofmf.events().FlushDelivery(10000));
 
@@ -330,6 +339,76 @@ TEST(EventFanoutTest, BacklogCoalescesIntoOneBatchPost) {
   EXPECT_EQ(snapshot.batches, 2u);
   EXPECT_EQ(snapshot.coalesced, 8u);
   EXPECT_EQ(snapshot.delivered, 9u);
+}
+
+// The fan-out budgets at scale: 1,000 subscribers, one of them slow and
+// always failing, take 256 back-to-back events. Publish only enqueues (p99
+// within 5 ms and no network send on its stack), every healthy subscriber
+// gets every event, and in optimized, uninstrumented builds all of them
+// arrive within 2 s of the last Publish.
+TEST(EventFanoutTest, ThousandSubscribersWithABlackHoleGetEveryEvent) {
+  constexpr std::size_t kSubscribers = 1000;
+  constexpr std::size_t kEvents = 256;
+  const std::string marker = "Fanout.1.0.Churn";
+  std::mutex arrivals_mu;
+  std::uint64_t received = 0;
+  Clock::time_point last_arrival;
+  core::OfmfService ofmf;
+  ASSERT_TRUE(ofmf.Bootstrap().ok());
+  ofmf.events().set_client_factory(
+      [&](const std::string& destination) -> std::unique_ptr<http::HttpClient> {
+        if (destination.find("blackhole") != std::string::npos) {
+          return std::make_unique<http::InProcessClient>([](const http::Request&) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            return http::MakeTextResponse(503, "black hole");
+          });
+        }
+        return std::make_unique<http::InProcessClient>([&](const http::Request& request) {
+          const std::string_view body = request.body.view();
+          std::uint64_t events = 0;
+          for (std::size_t at = body.find(marker); at != std::string_view::npos;
+               at = body.find(marker, at + marker.size())) {
+            ++events;
+          }
+          std::lock_guard<std::mutex> lock(arrivals_mu);
+          received += events;
+          last_arrival = Clock::now();
+          return http::MakeEmptyResponse(204);
+        });
+      });
+  DeliveryConfig config;
+  config.workers = 8;
+  config.batch_max_events = 256;
+  config.retry_attempts = 2;
+  config.base_backoff_ms = 2;
+  config.max_backoff_ms = 20;
+  config.breaker_cooldown_ms = 5;
+  ofmf.events().ConfigureDelivery(config);
+  for (std::size_t i = 0; i < kSubscribers; ++i) {
+    ASSERT_TRUE(SubscribeWire(ofmf, i == 0 ? "http://blackhole/events"
+                                           : "http://sub" + std::to_string(i) + "/events")
+                    .ok());
+  }
+
+  std::vector<double> publish_ms;
+  Clock::time_point last_publish;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    const Event event = MakeAlert(marker + std::to_string(i));
+    const Clock::time_point before = Clock::now();
+    ofmf.events().Publish(event);
+    last_publish = Clock::now();
+    publish_ms.push_back(MsBetween(before, last_publish));
+  }
+  ASSERT_TRUE(ofmf.events().FlushDelivery(60000));
+
+  std::sort(publish_ms.begin(), publish_ms.end());
+  EXPECT_LE(publish_ms[static_cast<std::size_t>(0.99 * (kEvents - 1) + 0.5)], 5.0);
+  EXPECT_EQ(ofmf.events().publish_path_sends(), 0u);
+  std::lock_guard<std::mutex> lock(arrivals_mu);
+  EXPECT_EQ(received, (kSubscribers - 1) * kEvents);
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  EXPECT_LE(MsBetween(last_publish, last_arrival), 2000.0);
+#endif
 }
 
 // ------------------------------------------------------------ SSE streams ---

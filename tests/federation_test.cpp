@@ -14,7 +14,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "common/faults.hpp"
+#include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "federation/directory.hpp"
 #include "federation/directory_client.hpp"
@@ -202,7 +206,14 @@ class FederationFixture : public ::testing::Test {
         block.memory_gib = 32;
         ASSERT_TRUE(shard->service.composition().RegisterBlock(block).ok());
       }
-      ASSERT_TRUE(shard->server.Start(shard->service.Handler(), 0, options).ok());
+      http::ServerHandler handler = shard->service.Handler();
+      if (before_shard_handles_) {
+        handler = [hook = before_shard_handles_, handler](const http::Request& request) {
+          hook(request);
+          return handler(request);
+        };
+      }
+      ASSERT_TRUE(shard->server.Start(handler, 0, options).ok());
       directory_.Register(shard->id, shard->server.port());
       shards_.push_back(std::move(shard));
     }
@@ -272,6 +283,8 @@ class FederationFixture : public ::testing::Test {
   }
 
   DirectoryService directory_;
+  // Set before StartShards: runs in each shard's server ahead of its service.
+  std::function<void(const http::Request&)> before_shard_handles_;
   std::shared_ptr<FaultInjector> faults_ = std::make_shared<FaultInjector>(2026);
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<FederationRouter> router_;
@@ -668,6 +681,28 @@ TEST_F(FederationFixture, FleetTelemetryMergesShardDumpsAndServesHealth) {
   EXPECT_EQ(latency.GetString("Id"), "RequestLatency");
   ASSERT_TRUE(latency.at("MetricValues").is_array());
   GetJson(std::string(core::kMetricReports) + "/NoSuchReport", 404);
+}
+
+// Shards that share a process dump the same process-global registry; the
+// fleet counts it once, so a counter of 5 reads 5 and not 5 per shard.
+TEST_F(FederationFixture, FleetCountsASharedProcessRegistryOnce) {
+  StartShards(2, 0);
+  const std::string name = "federation_test.fleet.shared_counter";
+  metrics::Counter& counter = metrics::Registry::instance().counter(name);
+  counter.Reset();
+  counter.Increment(5);
+  const http::Response dump = Route(http::MakeRequest(
+      http::Method::kPost,
+      std::string(core::kServiceRoot) + "/Actions/OfmfService.MetricsDump"));
+  ASSERT_EQ(dump.status, 200) << dump.body.view();
+  auto merged = json::Parse(dump.body.view());
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(json::Serialize(merged->at("Shards")), R"(["s1","s2"])");
+  std::int64_t value = -1;
+  for (const Json& entry : merged->at("Counters").as_array()) {
+    if (entry.GetString("Name") == name) value = entry.GetInt("Value");
+  }
+  EXPECT_EQ(value, 5);
 }
 
 // A shard whose MetricsDump fails is named on every gathered fleet document
@@ -1200,6 +1235,58 @@ TEST_F(FederationFixture, GathersDoNotAddThreads) {
   done.store(true);
   sampler.join();
   EXPECT_LE(peak.load(), baseline) << "a gather started a thread";
+}
+
+// A forward holds only its own router worker: four GETs through a router
+// reactor reach four shards at once. Each shard handler waits, at most 5 s,
+// until all four are inside, so forwards that ran one at a time time out.
+TEST_F(FederationFixture, ForwardsToFourShardsRunConcurrently) {
+  struct Barrier {
+    std::mutex mu;
+    std::condition_variable cv;
+    int inside = 0;
+    int timeouts = 0;
+  };
+  auto barrier = std::make_shared<Barrier>();
+  before_shard_handles_ = [barrier](const http::Request& request) {
+    if (request.path.find("/Fabrics/") == std::string::npos) return;
+    std::unique_lock<std::mutex> lock(barrier->mu);
+    ++barrier->inside;
+    barrier->cv.notify_all();
+    if (!barrier->cv.wait_for(lock, std::chrono::seconds(5),
+                              [&] { return barrier->inside >= 4; })) {
+      ++barrier->timeouts;
+    }
+  };
+  StartShards(4, 0);
+  const HashRing ring(directory_.Table());
+  std::map<std::string, std::string> fabric_of_shard;
+  for (int i = 0; fabric_of_shard.size() < 4 && i < 1000; ++i) {
+    const std::string fabric_id = "fab" + std::to_string(i);
+    const std::string owner = ring.OwnerOf("fabric:" + fabric_id).value_or("");
+    if (owner.empty() || fabric_of_shard.count(owner) != 0) continue;
+    ASSERT_TRUE(shard(owner).service.CreateFabricSkeleton(fabric_id, "NVMeoF", owner).ok());
+    fabric_of_shard[owner] = fabric_id;
+  }
+  ASSERT_EQ(fabric_of_shard.size(), 4u);
+
+  http::ServerOptions options;
+  options.workers = 8;
+  http::TcpServer router_server;
+  ASSERT_TRUE(router_server.Start(router_->Handler(), 0, options).ok());
+  std::vector<std::thread> clients;
+  for (const auto& [owner, fabric_id] : fabric_of_shard) {
+    clients.emplace_back([&router_server, uri = core::FabricUri(fabric_id)] {
+      http::TcpClient client(router_server.port(), 30000);
+      auto response = client.Get(uri);
+      EXPECT_TRUE(response.ok() && response->status == 200) << uri;
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  router_server.Stop();
+  std::lock_guard<std::mutex> lock(barrier->mu);
+  EXPECT_EQ(barrier->inside, 4);
+  EXPECT_EQ(barrier->timeouts, 0);
 }
 
 // A kDelay fault at federation.shard.<id> delays that shard's leg only: its

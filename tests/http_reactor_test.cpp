@@ -14,12 +14,14 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -681,6 +683,66 @@ TEST_F(ReactorTest, QosSchedulerCompletesAllTenantsRequests) {
   for (const auto& tenant : tenants) dispatched += tenant.dispatched;
   EXPECT_EQ(dispatched, 75u);
   server.Stop();
+}
+
+// Weighted-fair dispatch holds a flood's backlog in the scheduler, not in the
+// pool's FIFO: with one worker busy and 8 flood requests queued behind it, a
+// victim with 4x the weight runs no later than third. A pump that fed the
+// pool past one task per worker would run it tenth.
+TEST_F(ReactorTest, QosVictimOvertakesAQueuedFloodBacklog) {
+  ServerOptions options;
+  options.workers = 1;
+  options.tenant_classifier = [](const Request& request) {
+    qos::TenantSpec spec;
+    spec.id = request.headers.GetOr("X-Tenant", "default");
+    spec.weight = spec.id == "victim" ? 4 : 1;
+    return spec;
+  };
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::mutex order_mu;
+  std::vector<std::string> order;
+  TcpServer server;
+  ASSERT_TRUE(server
+                  .Start([&](const Request& request) {
+                    {
+                      std::lock_guard<std::mutex> lock(order_mu);
+                      order.push_back(request.headers.GetOr("X-Tenant", ""));
+                    }
+                    gate.wait();
+                    return MakeTextResponse(200, "done");
+                  },
+                  0, options)
+                  .ok());
+  std::vector<std::thread> clients;
+  const auto send = [&](const std::string& tenant) {
+    clients.emplace_back([&server, tenant] {
+      TcpClient client(server.port(), 10000);
+      Request request = MakeRequest(Method::kGet, "/" + tenant);
+      request.headers.Set("X-Tenant", tenant);
+      auto response = client.Send(request);
+      EXPECT_TRUE(response.ok() && response->status == 200) << tenant;
+    });
+  };
+  const auto admitted = [&server](const std::string& tenant, std::uint64_t count) {
+    for (int spin = 0; spin < 5000; ++spin) {
+      for (const qos::TenantStats& stats : server.TenantQosStats()) {
+        if (stats.id == tenant && stats.admitted >= count) return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  for (int i = 0; i < 9; ++i) send("flood");
+  EXPECT_TRUE(admitted("flood", 9));
+  send("victim");
+  EXPECT_TRUE(admitted("victim", 1));
+  release.set_value();
+  for (std::thread& client : clients) client.join();
+  server.Stop();
+  ASSERT_EQ(order.size(), 10u);
+  EXPECT_LE(std::find(order.begin(), order.end(), "victim") - order.begin(), 2)
+      << "the victim ran behind the flood's backlog";
 }
 
 // A half-closed client (shutdown(SHUT_WR) after the request) still gets its

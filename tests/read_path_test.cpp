@@ -171,16 +171,6 @@ TEST_F(ReadPathService, CollectionBodyInvalidatedByMemberChange) {
   EXPECT_THAT(after.body, ::testing::HasSubstr("77"));
 }
 
-TEST_F(ReadPathService, DisabledCacheStillServesCorrectBodies) {
-  service_.response_cache().set_enabled(false);
-  const http::Response first = Get("/redfish/v1/Fabrics/f");
-  ASSERT_TRUE(tree_.Patch("/redfish/v1/Fabrics/f", Json::Obj({{"MaxZones", 2}})).ok());
-  const http::Response after = Get("/redfish/v1/Fabrics/f");
-  EXPECT_NE(first.body, after.body);
-  EXPECT_EQ(Parse(after.body)->GetInt("MaxZones"), 2);
-  EXPECT_EQ(service_.response_cache().size(), 0u);
-}
-
 // The core safety property: a served body always matches its ETag header,
 // even while writers are concurrently mutating the resource and the cache is
 // invalidating. Run under OFMF_SANITIZE=thread to catch data races too.

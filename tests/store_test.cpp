@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -282,6 +283,52 @@ TEST(StoreTest, CompactionSnapshotsRotatesAndDeletesOldGenerations) {
   EXPECT_TRUE(state->report.had_snapshot);
   EXPECT_EQ(state->report.records_replayed, 1u);
   EXPECT_EQ(TreeBytes(recovered), TreeBytes(tree));
+}
+
+// The recovery budget at its working size: 10,000 resources, a quarter of
+// them patched since, come back byte-identical in under a second from the
+// journal alone and from a snapshot. The clock is checked only in optimized,
+// uninstrumented builds.
+TEST(StoreTest, TenThousandResourcesRecoverWithinOneSecond) {
+  const std::string dir = FreshDir("recover_10k");
+  auto store = PersistentStore::Open(Options(dir));
+  ASSERT_TRUE(store.ok());
+  redfish::ResourceTree tree;
+  Attach(tree, **store);
+  for (int i = 0; i < 10000; ++i) {
+    const std::string id = "c" + std::to_string(i);
+    ASSERT_TRUE(tree.Create("/redfish/v1/Chassis/" + id, "#Chassis.v1_21_0.Chassis",
+                            Json::Obj({{"Id", id},
+                                       {"Name", "chassis " + id},
+                                       {"AssetTag", "rack-" + std::to_string(i % 16)},
+                                       {"Status", Json::Obj({{"State", "Enabled"},
+                                                             {"Health", "OK"}})}}))
+                    .ok());
+  }
+  for (int i = 0; i < 2500; ++i) {
+    ASSERT_TRUE(tree.Patch("/redfish/v1/Chassis/c" + std::to_string(i),
+                           Json::Obj({{"AssetTag", "patched"}}))
+                    .ok());
+  }
+  ASSERT_TRUE((*store)->Flush().ok());
+
+  const auto recover = [&](std::size_t expect_replayed) {
+    redfish::ResourceTree recovered;
+    const auto start = std::chrono::steady_clock::now();
+    auto state = (*store)->Recover(recovered);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(state.ok());
+    EXPECT_EQ(state->report.records_replayed, expect_replayed);
+    EXPECT_EQ(TreeBytes(recovered), TreeBytes(tree));
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
+#else
+    (void)elapsed;
+#endif
+  };
+  recover(12500);
+  ASSERT_TRUE((*store)->Compact([&] { return tree.ExportState(); }, {}).ok());
+  recover(0);
 }
 
 TEST(StoreTest, StrayJournalLookalikeFilesAreIgnored) {

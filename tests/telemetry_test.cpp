@@ -357,9 +357,11 @@ TEST_F(ShardReportTest, UnchangedInputsLeaveEveryETagAlone) {
 
 // ------------------------------------------------------------ fleet side --
 
-// Two fixed shard MetricsDump documents, in the shape a shard renders.
+// Two fixed shard MetricsDump documents, in the shape a shard renders, from
+// two processes.
 constexpr const char* kDumpS1 = R"({
   "ShardId": "s1",
+  "ProcessId": "00000000000000a1",
   "Histograms": [
     {"Name": "compose.claim.ns", "Count": 3, "Sum": 5000, "Mean": 1666.7,
      "P50": 1500.0, "P95": 3000.0, "P99": 3000.0,
@@ -384,6 +386,7 @@ constexpr const char* kDumpS1 = R"({
 
 constexpr const char* kDumpS2 = R"({
   "ShardId": "s2",
+  "ProcessId": "00000000000000b2",
   "Histograms": [
     {"Name": "compose.claim.ns", "Count": 2, "Sum": 9000, "Mean": 4500.0,
      "P50": 3000.0, "P95": 6000.0, "P99": 6000.0,

@@ -50,7 +50,6 @@ class TraceTest : public ::testing::Test {
     trace::TraceRecorder::instance().set_slow_threshold_ns(0);
     trace::TraceRecorder::instance().set_retain_threshold_ns(0);
     trace::TraceRecorder::instance().Clear();
-    metrics::Registry::instance().set_enabled(true);
   }
 
   /// Groups the ring by trace id.
@@ -360,16 +359,11 @@ TEST_F(TraceTest, ErrorAndSlowTreesAreRetainedForTraceDump) {
   EXPECT_TRUE(recorder.RetainedTrace(err_id).empty()) << "oldest tree must be evicted";
 }
 
-TEST_F(TraceTest, ScopedTimerHonorsDisabledRegistry) {
+TEST_F(TraceTest, ScopedTimerRecordsUnlessNullOrCancelled) {
   metrics::Histogram& hist =
       metrics::Registry::instance().histogram("trace_test.timer.ns");
   hist.Reset();
 
-  metrics::Registry::instance().set_enabled(false);
-  { metrics::ScopedTimer timer(hist); }
-  EXPECT_EQ(hist.snapshot().count, 0u) << "disabled registry must not record";
-
-  metrics::Registry::instance().set_enabled(true);
   { metrics::ScopedTimer timer(hist); }
   EXPECT_EQ(hist.snapshot().count, 1u);
 
